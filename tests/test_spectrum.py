@@ -142,6 +142,26 @@ class TestDetectedSpectrum:
         bound_db = 10 * math.log10(1.0 - chain.total_efficiency)
         assert np.all(trace.values_db >= bound_db)
 
+    def test_both_quadratures_match_closed_form(self):
+        grid = default_frequency_grid()
+        for pump in (0.0, 0.05, 0.130, 0.1449):
+            for jitter in (0.0, 0.0131, 0.3):
+                op = paper_op(pump=pump)
+                chain = DetectionChain(escape_efficiency=0.9, phase_jitter_rms=jitter)
+                x = op.pump_ratio_x
+                w2 = (grid / GAMMA) ** 2
+                eta = chain.total_efficiency
+                v_sq = eta * (1.0 - 4.0 * x / ((1.0 + x) ** 2 + w2)) + 1.0 - eta
+                v_anti = eta * (1.0 + 4.0 * x / ((1.0 - x) ** 2 + w2)) + 1.0 - eta
+                for quad, angle in (
+                    (TraceLabel.SQUEEZED_QUADRATURE, jitter),
+                    (TraceLabel.ANTISQUEEZED_QUADRATURE, math.pi / 2 - jitter),
+                ):
+                    s2 = math.sin(angle) ** 2
+                    expected = 10.0 * np.log10(v_sq * (1.0 - s2) + v_anti * s2)
+                    got = detected_spectrum(op, chain, grid, quad).values_db
+                    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
     @given(eta=st.floats(0.1, 0.999))
     def test_loss_bound_property(self, eta):
         chain = DetectionChain(
