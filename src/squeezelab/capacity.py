@@ -2,7 +2,8 @@
 
 Covers coherent-state encoding, squeezed-enhanced detection of a coherent
 signal, signal-encoded squeezed beams, and the Holevo bound.  Capacities are
-in bits per channel use; variances in shot-noise units.
+in bits per channel use; variances in shot-noise units.  The four bounds take
+a scalar or an array of mean photon numbers.
 """
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .gaussian import _require
 
 
 @dataclass(frozen=True)
@@ -62,43 +65,40 @@ def nbar_from_variances(V0: float, Vpi2: float) -> float:
     return nbar
 
 
-def capacity_coherent(nbar: float) -> float:
+def capacity_coherent(nbar):
     """Coherent-encoding, coherent-detection capacity (1/2) log2(1 + 4 nbar)."""
-    if nbar < 0.0:
-        raise ValueError("nbar must be >= 0")
-    return 0.5 * math.log2(1.0 + 4.0 * nbar)
+    n = np.asarray(nbar, dtype=float)
+    _require(n >= 0.0, n, "nbar must be >= 0")
+    return 0.5 * np.log2(1.0 + 4.0 * n)
 
 
-def capacity_coherent_squeezed_detection(nbar: float, r: float) -> float:
+def capacity_coherent_squeezed_detection(nbar, r: float):
     """Coherent signal read out with a squeezed reference: (1/2) log2(1 + 4 e^{2r} nbar)."""
-    if nbar < 0.0 or r < 0.0:
-        raise ValueError("need nbar >= 0 and r >= 0")
-    return 0.5 * math.log2(1.0 + 4.0 * math.exp(2.0 * r) * nbar)
+    n = np.asarray(nbar, dtype=float)
+    _require(n >= 0.0, n, "nbar must be >= 0")
+    _require(r >= 0.0, r, "r must be >= 0")
+    return 0.5 * np.log2(1.0 + 4.0 * math.exp(2.0 * r) * n)
 
 
-def capacity_squeezed_encoding(nbar: float, r: float) -> float:
+def capacity_squeezed_encoding(nbar, r: float):
     """Signal-encoded squeezed beam: (1/2) log2[1 + 4 e^{2r} (nbar - sinh^2 r)].
 
     The squeezing itself costs sinh^2(r) photons, so nbar must exceed that.
     """
-    if r < 0.0:
-        raise ValueError("r must be >= 0")
-    budget = nbar - math.sinh(r) ** 2
-    if budget <= 0.0:
-        raise ValueError(
-            f"nbar = {nbar} does not exceed the squeezing photon cost "
-            f"sinh^2(r) = {math.sinh(r) ** 2}"
-        )
-    return 0.5 * math.log2(1.0 + 4.0 * math.exp(2.0 * r) * budget)
+    _require(r >= 0.0, r, "r must be >= 0")
+    cost = math.sinh(r) ** 2
+    n = np.asarray(nbar, dtype=float)
+    _require(n > cost, n, f"nbar must exceed the squeezing photon cost sinh^2(r) = {cost}")
+    return 0.5 * np.log2(1.0 + 4.0 * math.exp(2.0 * r) * (n - cost))
 
 
-def holevo_bound(nbar: float) -> float:
+def holevo_bound(nbar):
     """Holevo capacity (1+n)log2(1+n) - n log2 n, continuously extended to 0 at n=0."""
-    if nbar < 0.0:
-        raise ValueError("nbar must be >= 0")
-    if nbar == 0.0:
-        return 0.0
-    return (1.0 + nbar) * math.log2(1.0 + nbar) - nbar * math.log2(nbar)
+    n = np.asarray(nbar, dtype=float)
+    _require(n >= 0.0, n, "nbar must be >= 0")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bits = (1.0 + n) * np.log2(1.0 + n) - n * np.log2(n)
+    return np.where(n == 0.0, 0.0, bits)[()]
 
 
 def default_nbar_grid(start: float = 0.01, stop: float = 10.0, points: int = 200):
@@ -114,15 +114,12 @@ def curve_suite(nbar_grid, r: float) -> list[CapacityCurve]:
     grid = np.asarray(nbar_grid, dtype=float)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0):
         raise ValueError("nbar grid must be positive and strictly increasing")
-    coh = np.array([capacity_coherent(n) for n in grid])
-    det = np.array([capacity_coherent_squeezed_detection(n, r) for n in grid])
-    enc = np.array(
-        [
-            capacity_squeezed_encoding(n, r) if n > math.sinh(r) ** 2 else math.nan
-            for n in grid
-        ]
-    )
-    hol = np.array([holevo_bound(n) for n in grid])
+    coh = capacity_coherent(grid)
+    det = capacity_coherent_squeezed_detection(grid, r)
+    enc = np.full_like(grid, math.nan)
+    above = grid > math.sinh(r) ** 2
+    enc[above] = capacity_squeezed_encoding(grid[above], r)
+    hol = holevo_bound(grid)
     return [
         CapacityCurve(grid, coh, BoundKind.COHERENT),
         CapacityCurve(grid, det, BoundKind.COHERENT_WITH_SQUEEZED_DETECTION),

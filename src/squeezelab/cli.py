@@ -21,31 +21,29 @@ import hashlib
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import capacity as capacity_mod
 from . import cavity as cavity_mod
-from . import homodyne, scenario, spectrum, tracesim
+from . import gaussian, homodyne, scenario, spectrum, tracesim
 from .scenario import PRESET_ASSUMPTIONS, Scenario, ScenarioError
 from .spectrum import TraceLabel
 
 
-def scenario_hash(scn: Scenario) -> str:
-    return hashlib.sha256(scenario.serialize(scn).encode()).hexdigest()[:12]
+def write_metadata(out_dir: Path, scn: Scenario, subcommand: str, extra: dict | None = None) -> Path:
+    """Write the `.meta` sidecar and return the path of its CSV.
 
-
-def write_metadata(path: Path, scn: Scenario, subcommand: str, extra: dict | None = None) -> None:
+    Both files are named by a hash of the whole record, so runs that differ
+    in any recorded input (scenario or subcommand option) never share a name,
+    and equal runs always do.
+    """
     lines = [f"subcommand = {subcommand}", f"rng.algorithm = {tracesim.RNG_ALGORITHM}"]
     if extra:
         lines += [f"{k} = {v}" for k, v in extra.items()]
     lines.append(f"assumptions = {','.join(PRESET_ASSUMPTIONS)}")
     lines.append(scenario.serialize(scn).rstrip("\n"))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _out_paths(out_dir: Path, name: str, scn: Scenario) -> tuple[Path, Path]:
-    stem = f"{name}-{scenario_hash(scn)}"
-    return out_dir / f"{stem}.csv", out_dir / f"{stem}.meta"
+    record = "\n".join(lines) + "\n"
+    stem = f"{subcommand}-{hashlib.sha256(record.encode()).hexdigest()[:12]}"
+    (out_dir / f"{stem}.meta").write_text(record)
+    return out_dir / f"{stem}.csv"
 
 
 def run_cavity(scn: Scenario, out_dir: Path, args) -> Path:
@@ -57,14 +55,13 @@ def run_cavity(scn: Scenario, out_dir: Path, args) -> Path:
         ("threshold_power_w", cavity_mod.threshold_power(c)),
         ("escape_efficiency", cavity_mod.escape_efficiency(c)),
     ]
-    csv_path, meta_path = _out_paths(out_dir, "cavity", scn)
+    csv_path = write_metadata(out_dir, scn, "cavity")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["quantity", "value"])
         for name, value in rows:
             writer.writerow([name, repr(value)])
             print(f"{name} = {value:.6g}")
-    write_metadata(meta_path, scn, "cavity")
     return csv_path
 
 
@@ -80,31 +77,29 @@ def run_spectrum(scn: Scenario, out_dir: Path, args) -> Path:
         traces.append(
             spectrum.flat_trace(scn.trace.electronic_floor_db, grid, TraceLabel.ELECTRONIC_NOISE)
         )
-    csv_path, meta_path = _out_paths(out_dir, "spectrum", scn)
+    csv_path = write_metadata(out_dir, scn, "spectrum")
     spectrum.write_traces_csv(csv_path, traces)
-    write_metadata(meta_path, scn, "spectrum")
     print(f"wrote {len(traces)} traces, {grid.size} points each -> {csv_path}")
     return csv_path
 
 
 def run_correct(scn: Scenario, out_dir: Path, args) -> Path:
-    observed_ratio = 10.0 ** (args.observed_db / 10.0)
+    observed_ratio = gaussian.db_to_ratio(args.observed_db)
     power_ratio = args.power_ratio if args.power_ratio is not None else scn.homodyne.power_ratio
     if args.mode == "blocked":
         corrected = homodyne.correct_blocked_shot_noise(observed_ratio, power_ratio)
     else:
         corrected = homodyne.correct_equal_power_shot_noise(observed_ratio, power_ratio)
-    corrected_db = 10.0 * np.log10(corrected)
+    corrected_db = float(gaussian.ratio_to_db(corrected))
     print(f"corrected squeezing: {corrected_db:.2f} dB")
-    csv_path, meta_path = _out_paths(out_dir, "correct", scn)
+    csv_path = write_metadata(
+        out_dir, scn, "correct",
+        {"observed_db": args.observed_db, "power_ratio": power_ratio, "mode": args.mode},
+    )
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["observed_db", "power_ratio", "mode", "corrected_db"])
         writer.writerow([args.observed_db, power_ratio, args.mode, repr(corrected_db)])
-    write_metadata(
-        meta_path, scn, "correct",
-        {"observed_db": args.observed_db, "power_ratio": power_ratio, "mode": args.mode},
-    )
     return csv_path
 
 
@@ -122,13 +117,12 @@ def run_interfere(scn: Scenario, out_dir: Path, args) -> Path:
     squeezed_target, tone = _interfere_targets(scn)
     coherent_psd = tracesim.averaged_psd(cfg, None, tone, TraceLabel.SHOT_NOISE)
     squeezed_psd = tracesim.averaged_psd(cfg, squeezed_target, tone, TraceLabel.SQUEEZED_QUADRATURE)
-    csv_path, meta_path = _out_paths(out_dir, "interfere", scn)
-    spectrum.write_traces_csv(csv_path, [coherent_psd, squeezed_psd])
-    write_metadata(
-        meta_path, scn, "interfere",
+    csv_path = write_metadata(
+        out_dir, scn, "interfere",
         {"tone_frequency_hz": scn.interfere.tone_frequency,
          "tone_db_rel_shot": scn.interfere.tone_db_rel_shot},
     )
+    spectrum.write_traces_csv(csv_path, [coherent_psd, squeezed_psd])
     print(f"wrote coherent and squeezed reference PSDs -> {csv_path}")
     return csv_path
 
@@ -138,21 +132,18 @@ def run_trace(scn: Scenario, out_dir: Path, args) -> Path:
     grid = spectrum.default_frequency_grid()
     target = spectrum.detected_spectrum(op, scn.chain, grid, TraceLabel.SQUEEZED_QUADRATURE)
     psd = tracesim.averaged_psd(scn.trace, target, None, TraceLabel.SQUEEZED_QUADRATURE)
-    csv_path, meta_path = _out_paths(out_dir, "trace", scn)
+    csv_path = write_metadata(out_dir, scn, "trace")
     spectrum.write_traces_csv(csv_path, [psd, target])
-    write_metadata(meta_path, scn, "trace")
     print(f"wrote estimated and analytic spectra -> {csv_path}")
     return csv_path
 
 
 def run_capacity(scn: Scenario, out_dir: Path, args) -> Path:
     cap = scn.capacity
-    r = args.r if args.r is not None else cap.squeeze_r
     grid = capacity_mod.default_nbar_grid(cap.nbar_min, cap.nbar_max, cap.points)
-    curves = capacity_mod.curve_suite(grid, r)
-    csv_path, meta_path = _out_paths(out_dir, "capacity", scn)
+    curves = capacity_mod.curve_suite(grid, cap.squeeze_r)
+    csv_path = write_metadata(out_dir, scn, "capacity", {"squeeze_r": cap.squeeze_r})
     capacity_mod.write_curves_csv(csv_path, curves)
-    write_metadata(meta_path, scn, "capacity", {"squeeze_r": r})
     print(f"wrote {len(curves)} capacity curves -> {csv_path}")
     return csv_path
 
@@ -167,30 +158,44 @@ _RUNNERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_options(after_subcommand: bool) -> argparse.ArgumentParser:
+    """--config, --out and --set, accepted before and after the subcommand.
+
+    After the subcommand they default to SUPPRESS, so an option given only
+    before it is not overwritten; --set after it is collected separately and
+    applied after the --set given before it.
+    """
+    def default(value):
+        return argparse.SUPPRESS if after_subcommand else value
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="scenario file (default: built-in preset)")
-    common.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    common.add_argument("--config", type=Path, default=default(None),
+                        help="scenario file (default: built-in preset)")
+    common.add_argument("--out", type=Path, default=default(Path(".")), help="output directory")
     common.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE",
+        "--set", action="append", default=default([]), metavar="KEY=VALUE",
+        dest="set_after" if after_subcommand else "set",
         help="override a scenario key, e.g. --set trace.seed=7",
     )
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="squeezelab",
         description="Bright phase-squeezed beam simulation and analysis toolkit",
-        parents=[common],
+        parents=[_common_options(after_subcommand=False)],
     )
+    parser.set_defaults(set_after=[])
+    common = _common_options(after_subcommand=True)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("cavity", "spectrum", "interfere", "trace"):
+    for name in ("cavity", "spectrum", "interfere", "trace", "capacity"):
         sub.add_parser(name, parents=[common])
     p_correct = sub.add_parser("correct", parents=[common])
     p_correct.add_argument("--observed-db", type=float, required=True)
     p_correct.add_argument("--power-ratio", type=float, default=None,
                            help="P_OPA/P_LO (default: from scenario)")
     p_correct.add_argument("--mode", choices=["blocked", "equal-power"], default="blocked")
-    p_capacity = sub.add_parser("capacity", parents=[common])
-    p_capacity.add_argument("--r", type=float, default=None,
-                            help="squeezing parameter (default: from scenario)")
     return parser
 
 
@@ -224,7 +229,7 @@ def resolve_scenario(args, leftovers: list[str]) -> Scenario:
         scn = scenario.load(args.config)
     else:
         scn = scenario.paper_preset()
-    overrides = _collect_overrides(args.set, leftovers)
+    overrides = _collect_overrides(args.set + args.set_after, leftovers)
     if overrides:
         flat = scenario.to_flat(scn)
         flat.update(overrides)

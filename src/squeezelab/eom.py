@@ -12,8 +12,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .cavity import SPEED_OF_LIGHT
+
 PLANCK = 6.62607015e-34  # J s
-SPEED_OF_LIGHT = 299792458.0  # m/s
 
 # Literature-typical RTA indices near 1064 nm; the crystal data sheet did not
 # accompany the coefficients, so these are configurable defaults.

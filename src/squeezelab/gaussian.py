@@ -1,7 +1,8 @@
 """Linearized Gaussian field-mode statistics.
 
 All quadrature variances are expressed in shot-noise units: a coherent or
-vacuum state has variance 1 in every quadrature.  The phase-squeezed
+vacuum state has variance 1 in every quadrature.  The loss, jitter and dB
+maps take scalars or numpy arrays and apply elementwise.  The phase-squeezed
 convention is used throughout: for a phase-squeezed state the analysis angle
 theta = pi/2 returns the squeezed variance exp(-2r) and theta = 0 the
 antisqueezed variance exp(+2r).
@@ -11,6 +12,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class Quadrature(enum.Enum):
@@ -71,40 +74,49 @@ def variance_at(state: QuadratureState, theta: float) -> float:
     return math.exp(-2.0 * r) * c2 + math.exp(2.0 * r) * s2
 
 
-def apply_loss(state_variance: float, loss: LossModel) -> float:
+def _require(ok, values, message: str) -> None:
+    """Raise ValueError naming the first element of `values` where `ok` is False."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        bad = np.broadcast_to(values, ok.shape)[~ok].flat[0]
+        raise ValueError(f"{message}, got {bad}")
+
+
+def apply_loss(state_variance, loss: LossModel):
     """Beam-splitter loss map V -> eta*V + (1 - eta).
 
     Mixes in vacuum through the loss port; shot noise (V = 1) is a fixed
     point for every efficiency.
     """
-    if state_variance <= 0.0:
-        raise ValueError(f"variance must be > 0, got {state_variance}")
+    v = np.asarray(state_variance, dtype=float)
+    _require(v > 0.0, v, "variance must be > 0")
     eta = loss.efficiency_eta
-    return eta * state_variance + (1.0 - eta)
+    return eta * v + (1.0 - eta)
 
 
-def apply_phase_jitter(v_min: float, v_max: float, jitter_rms: float) -> float:
+def apply_phase_jitter(v_min, v_max, jitter_rms):
     """Mix the two principal variances by a fixed quadrature misalignment.
 
     Returns v_min*cos^2(sigma) + v_max*sin^2(sigma) for sigma = jitter_rms.
     Models residual drift of the unstabilized LO phase as a deterministic
     rotation away from the squeezed axis.
     """
-    if v_min < 0.0 or v_max < 0.0:
-        raise ValueError("variances must be non-negative")
-    if v_min > v_max:
-        raise ValueError(f"v_min ({v_min}) must not exceed v_max ({v_max})")
-    if jitter_rms < 0.0:
-        raise ValueError("jitter_rms must be >= 0")
-    s2 = math.sin(jitter_rms) ** 2
+    v_min = np.asarray(v_min, dtype=float)
+    v_max = np.asarray(v_max, dtype=float)
+    sigma = np.asarray(jitter_rms, dtype=float)
+    _require(v_min >= 0.0, v_min, "variances must be non-negative")
+    _require(v_max >= 0.0, v_max, "variances must be non-negative")
+    _require(v_min <= v_max, v_min, "v_min must not exceed v_max")
+    _require(sigma >= 0.0, sigma, "jitter_rms must be >= 0")
+    s2 = np.sin(sigma) ** 2
     return v_min * (1.0 - s2) + v_max * s2
 
 
-def ratio_to_db(v: float) -> float:
+def ratio_to_db(v):
     """Power ratio -> decibels, 10*log10(v)."""
-    if v <= 0.0:
-        raise ValueError(f"ratio must be > 0, got {v}")
-    return 10.0 * math.log10(v)
+    v = np.asarray(v, dtype=float)
+    _require(v > 0.0, v, "ratio must be > 0")
+    return 10.0 * np.log10(v)
 
 
 def db_to_ratio(d: float) -> float:

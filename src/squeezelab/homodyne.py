@@ -92,13 +92,3 @@ def correct_equal_power_shot_noise(observed_ratio: float, power_ratio: float) ->
             f"non-physical input: corrected variance would be {result} <= 0"
         )
     return result
-
-
-def modulation_snr(tone_power_db_rel_shot: float, noise_floor_db_rel_shot: float) -> float:
-    """Tone signal-to-noise ratio in dB against a given noise floor."""
-    return tone_power_db_rel_shot - noise_floor_db_rel_shot
-
-
-def squeezing_gain(floor_coherent_db: float, floor_squeezed_db: float) -> float:
-    """SNR improvement from lowering the noise floor, in dB."""
-    return floor_coherent_db - floor_squeezed_db

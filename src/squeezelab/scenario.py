@@ -10,7 +10,6 @@ from dataclasses import dataclass, field, fields
 
 from . import cavity as cavity_mod
 from .cavity import CavityParams
-from .eom import EomParams
 from .homodyne import HomodyneConfig
 from .spectrum import DetectionChain, OpaOperatingPoint
 from .tracesim import TraceConfig
@@ -62,7 +61,6 @@ class Scenario:
     opa_threshold_power: float  # W; measured value, may differ from the model estimate
     chain: DetectionChain
     homodyne: HomodyneConfig
-    eom: EomParams
     trace: TraceConfig
     capacity: CapacityConfig = field(default_factory=CapacityConfig)
     interfere: InterfereConfig = field(default_factory=InterfereConfig)
@@ -99,9 +97,6 @@ class Scenario:
 PRESET_ASSUMPTIONS = (
     "cavity.crystal_index",
     "chain.phase_jitter_rms",
-    "eom.n_Z",
-    "eom.n_Y",
-    "eom.field_E_Z",
     "trace.electronic_floor_db",
 )
 
@@ -132,10 +127,6 @@ def paper_preset(seed: int = 0) -> Scenario:
             lo_power=4.2e-3,
             lo_phase_theta=math.pi / 2,
         ),
-        eom=EomParams(
-            field_E_Z=1000.0,
-            crystal_length_l=0.02,
-        ),
         trace=TraceConfig(
             sample_rate=100e6,
             duration=1e-3,
@@ -154,7 +145,6 @@ _SECTIONS = {
     "cavity": (CavityParams, "cavity"),
     "chain": (DetectionChain, "chain"),
     "homodyne": (HomodyneConfig, "homodyne"),
-    "eom": (EomParams, "eom"),
     "trace": (TraceConfig, "trace"),
     "capacity": (CapacityConfig, "capacity"),
     "interfere": (InterfereConfig, "interfere"),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,13 +122,6 @@ class SpectrumTrace:
         """
         return np.interp(np.asarray(freqs, float), self.frequencies, self.ratio(), right=1.0)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["frequency_hz", "value_db", "label"])
-            for f, v in zip(self.frequencies, self.values_db):
-                writer.writerow([repr(float(f)), repr(float(v)), self.label.value])
-
 
 def write_traces_csv(path, traces) -> None:
     """Write several traces into one CSV (shared schema, one row per point)."""
@@ -141,17 +134,17 @@ def write_traces_csv(path, traces) -> None:
 
 
 def read_traces_csv(path) -> list[SpectrumTrace]:
-    groups: dict[str, list[tuple[float, float]]] = {}
+    """Traces in file order.  A new trace starts wherever the label changes or
+    the frequency stops increasing, so two traces may share a label."""
+    blocks: list[tuple[str, list[float], list[float]]] = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            groups.setdefault(row["label"], []).append(
-                (float(row["frequency_hz"]), float(row["value_db"]))
-            )
-    traces = []
-    for label, points in groups.items():
-        freqs, vals = zip(*points)
-        traces.append(SpectrumTrace(np.array(freqs), np.array(vals), TraceLabel(label)))
-    return traces
+            f = float(row["frequency_hz"])
+            if not blocks or blocks[-1][0] != row["label"] or f <= blocks[-1][1][-1]:
+                blocks.append((row["label"], [], []))
+            blocks[-1][1].append(f)
+            blocks[-1][2].append(float(row["value_db"]))
+    return [SpectrumTrace(np.array(f), np.array(v), TraceLabel(label)) for label, f, v in blocks]
 
 
 def default_frequency_grid(
@@ -165,12 +158,10 @@ def flat_trace(level_db: float, frequencies, label=TraceLabel.SHOT_NOISE) -> Spe
     return SpectrumTrace(freqs, np.full_like(freqs, float(level_db)), label)
 
 
-def ideal_spectrum(
-    op: OpaOperatingPoint, omega: float, quadrature: TraceLabel
-) -> float:
-    """Lossless OPA output spectrum at sideband frequency omega (Hz)."""
+def ideal_spectrum(op: OpaOperatingPoint, omega, quadrature: TraceLabel):
+    """Lossless OPA output spectrum at sideband frequency omega (Hz, scalar or array)."""
     x = op.pump_ratio_x
-    w2 = (omega / op.cavity_hwhm) ** 2
+    w2 = (np.asarray(omega, dtype=float) / op.cavity_hwhm) ** 2
     if quadrature is TraceLabel.SQUEEZED_QUADRATURE:
         return 1.0 - 4.0 * x / ((1.0 + x) ** 2 + w2)
     if quadrature is TraceLabel.ANTISQUEEZED_QUADRATURE:
@@ -178,20 +169,32 @@ def ideal_spectrum(
     raise ValueError(f"not an OPA quadrature: {quadrature}")
 
 
-def detected_variance(op: OpaOperatingPoint, chain: DetectionChain, omega: float) -> float:
-    """Detected squeezed-quadrature variance at one sideband frequency.
+def detected_variance(
+    op: OpaOperatingPoint,
+    chain: DetectionChain,
+    omega,
+    quadrature: TraceLabel = TraceLabel.SQUEEZED_QUADRATURE,
+):
+    """Detected quadrature variance at sideband frequency omega (scalar or array).
 
     Applies, in order: cavity escape efficiency, detection losses, and the
-    residual phase-jitter mix with the (equally degraded) antisqueezed
-    quadrature at the same frequency.
+    residual phase-jitter mix of the two (equally degraded) quadratures at the
+    same frequency.  Jitter rotates the squeezed quadrature by sigma away from
+    the squeezed axis and the antisqueezed one by pi/2 - sigma.
     """
+    if quadrature is TraceLabel.SQUEEZED_QUADRATURE:
+        angle = chain.phase_jitter_rms
+    elif quadrature is TraceLabel.ANTISQUEEZED_QUADRATURE:
+        angle = math.pi / 2 - chain.phase_jitter_rms
+    else:
+        raise ValueError(f"not an OPA quadrature: {quadrature}")
     v_sq = ideal_spectrum(op, omega, TraceLabel.SQUEEZED_QUADRATURE)
     v_anti = ideal_spectrum(op, omega, TraceLabel.ANTISQUEEZED_QUADRATURE)
     esc = gaussian.LossModel(chain.escape_efficiency)
     det = gaussian.LossModel(chain.detection_efficiency)
     v_sq = gaussian.apply_loss(gaussian.apply_loss(v_sq, esc), det)
     v_anti = gaussian.apply_loss(gaussian.apply_loss(v_anti, esc), det)
-    return gaussian.apply_phase_jitter(v_sq, v_anti, chain.phase_jitter_rms)
+    return gaussian.apply_phase_jitter(v_sq, v_anti, angle)
 
 
 def detected_spectrum(
@@ -201,23 +204,6 @@ def detected_spectrum(
     quadrature: TraceLabel = TraceLabel.SQUEEZED_QUADRATURE,
 ) -> SpectrumTrace:
     """Detected spectrum over a frequency grid, in dB relative to shot noise."""
-    if omega_grid is None:
-        omega_grid = default_frequency_grid()
-    freqs = np.asarray(omega_grid, dtype=float)
-    values = np.empty_like(freqs)
-    for i, w in enumerate(freqs):
-        if quadrature is TraceLabel.SQUEEZED_QUADRATURE:
-            v = detected_variance(op, chain, w)
-        elif quadrature is TraceLabel.ANTISQUEEZED_QUADRATURE:
-            # jitter rotates the antisqueezed axis toward the squeezed one
-            v_sq = ideal_spectrum(op, w, TraceLabel.SQUEEZED_QUADRATURE)
-            v_anti = ideal_spectrum(op, w, TraceLabel.ANTISQUEEZED_QUADRATURE)
-            esc = gaussian.LossModel(chain.escape_efficiency)
-            det = gaussian.LossModel(chain.detection_efficiency)
-            v_sq = gaussian.apply_loss(gaussian.apply_loss(v_sq, esc), det)
-            v_anti = gaussian.apply_loss(gaussian.apply_loss(v_anti, esc), det)
-            v = gaussian.apply_phase_jitter(v_sq, v_anti, math.pi / 2 - chain.phase_jitter_rms)
-        else:
-            raise ValueError(f"not an OPA quadrature: {quadrature}")
-        values[i] = gaussian.ratio_to_db(v)
+    freqs = np.asarray(default_frequency_grid() if omega_grid is None else omega_grid, dtype=float)
+    values = gaussian.ratio_to_db(detected_variance(op, chain, freqs, quadrature))
     return SpectrumTrace(freqs, values, quadrature)

@@ -167,11 +167,16 @@ def _welch_ratio(x: np.ndarray, cfg: TraceConfig) -> tuple[np.ndarray, np.ndarra
     return freqs[1:-1], pxx[1:-1] * cfg.sample_rate / 2.0
 
 
-def _apply_vbw(ratio: np.ndarray, cfg: TraceConfig) -> np.ndarray:
+def _ratio_to_trace(
+    freqs: np.ndarray, ratio: np.ndarray, cfg: TraceConfig, label: TraceLabel
+) -> SpectrumTrace:
+    """VBW-smooth a PSD ratio and return it in dB relative to shot noise."""
     m = cfg.vbw_bins
-    if m <= 1:
-        return ratio
-    return uniform_filter1d(ratio, size=m, mode="nearest")
+    if m > 1:
+        ratio = uniform_filter1d(ratio, size=m, mode="nearest")
+    # clamp for the log: a zero-power bin reads -3000 dB rather than -inf
+    ratio = np.maximum(ratio, 1e-300)
+    return SpectrumTrace(freqs, 10.0 * np.log10(ratio), label)
 
 
 def estimate_psd(
@@ -181,10 +186,7 @@ def estimate_psd(
 ) -> SpectrumTrace:
     """Averaged-periodogram PSD of one trace, in dB relative to shot noise."""
     freqs, ratio = _welch_ratio(trace.samples, cfg)
-    ratio = _apply_vbw(ratio, cfg)
-    # DC bin carries window leakage of any offset; clamp for the log
-    ratio = np.maximum(ratio, 1e-300)
-    return SpectrumTrace(freqs, 10.0 * np.log10(ratio), label)
+    return _ratio_to_trace(freqs, ratio, cfg, label)
 
 
 def averaged_psd(
@@ -201,6 +203,4 @@ def averaged_psd(
         trace = synthesize_trace(cfg, target_spectrum, tone, sweep_index=sweep)
         freqs, ratio = _welch_ratio(trace.samples, cfg)
         acc = ratio if acc is None else acc + ratio
-    mean_ratio = _apply_vbw(acc / cfg.sweeps, cfg)
-    mean_ratio = np.maximum(mean_ratio, 1e-300)
-    return SpectrumTrace(freqs, 10.0 * np.log10(mean_ratio), label)
+    return _ratio_to_trace(freqs, acc / cfg.sweeps, cfg, label)

@@ -135,6 +135,35 @@ class TestHolevo:
             assert hol >= capacity_squeezed_encoding(nbar, r) - 1e-12
 
 
+class TestArrays:
+    GRID = np.array([0.0, 0.01, 0.2, 1.0, 7.3])
+
+    def test_bounds_match_scalar(self):
+        for r in (0.0, R_PAPER, 1.0):
+            for bound in (capacity_coherent, holevo_bound,
+                          lambda n: capacity_coherent_squeezed_detection(n, r)):
+                assert np.array_equal(bound(self.GRID), [bound(n) for n in self.GRID])
+            above = self.GRID[self.GRID > math.sinh(r) ** 2]
+            assert np.array_equal(
+                capacity_squeezed_encoding(above, r),
+                [capacity_squeezed_encoding(n, r) for n in above],
+            )
+
+    def test_holevo_zero_in_array(self):
+        assert holevo_bound(self.GRID)[0] == 0.0
+
+    def test_any_invalid_element_raises(self):
+        bad = np.array([0.5, -1e-3])
+        for bound in (capacity_coherent, holevo_bound,
+                      lambda n: capacity_coherent_squeezed_detection(n, R_PAPER)):
+            with pytest.raises(ValueError):
+                bound(bad)
+        with pytest.raises(ValueError):
+            capacity_squeezed_encoding(np.array([1.0, 0.1]), R_PAPER)
+        with pytest.raises(ValueError):
+            capacity_coherent_squeezed_detection(self.GRID, -0.1)
+
+
 class TestCurveSuite:
     def test_r_zero_collapses_curves(self):
         grid = default_nbar_grid(0.2, 5.0, 20)

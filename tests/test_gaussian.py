@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -148,6 +149,39 @@ class TestDbConversions:
     @given(v=st.floats(1e-12, 1e12))
     def test_round_trip(self, v):
         assert db_to_ratio(ratio_to_db(v)) == pytest.approx(v, rel=1e-12)
+
+
+class TestArrays:
+    V = np.array([1e-6, 0.2, 1.0, 7.5])
+
+    def test_loss_matches_scalar(self):
+        loss = LossModel(0.823)
+        assert np.array_equal(apply_loss(self.V, loss), [apply_loss(v, loss) for v in self.V])
+
+    def test_jitter_matches_scalar(self):
+        v_max = self.V * 3.0
+        for sigma in (0.0, 0.0131, np.array([0.0, 0.1, 0.5, 1.5])):
+            expected = [
+                apply_phase_jitter(lo, hi, s)
+                for lo, hi, s in zip(self.V, v_max, np.broadcast_to(sigma, self.V.shape))
+            ]
+            assert np.array_equal(apply_phase_jitter(self.V, v_max, sigma), expected)
+
+    def test_db_matches_scalar(self):
+        assert np.array_equal(ratio_to_db(self.V), [ratio_to_db(v) for v in self.V])
+
+    def test_any_invalid_element_raises(self):
+        bad = np.array([0.5, 1.0, -0.1])
+        with pytest.raises(ValueError, match="-0.1"):
+            apply_loss(bad, LossModel(0.5))
+        with pytest.raises(ValueError):
+            ratio_to_db(np.array([1.0, np.nan]))
+        with pytest.raises(ValueError):
+            apply_phase_jitter(bad, 2.0, 0.0)
+        with pytest.raises(ValueError):
+            apply_phase_jitter(np.array([0.5, 3.0]), np.array([1.0, 2.0]), 0.0)
+        with pytest.raises(ValueError):
+            apply_phase_jitter(0.5, 1.0, np.array([0.1, -0.1]))
 
 
 def test_composite_efficiency_validates_factors():

@@ -11,8 +11,6 @@ from squeezelab.homodyne import (
     correct_equal_power_shot_noise,
     difference_photocurrent_stats,
     equal_power_shot_noise_ratio,
-    modulation_snr,
-    squeezing_gain,
 )
 
 POWER_RATIO = 0.038  # P_OPA / P_LO = 0.16 mW / 4.2 mW
@@ -134,14 +132,3 @@ class TestEqualPowerCorrection:
             equal = correct_equal_power_shot_noise(equal_power_shot_noise_ratio(vn, ratio), ratio)
             assert blocked == pytest.approx(equal, rel=1e-9)
             assert blocked == pytest.approx(vn, rel=1e-9)
-
-
-class TestModulationSnr:
-    def test_floor_drop_equals_gain(self):
-        assert squeezing_gain(0.0, -3.2) == pytest.approx(3.2)
-
-    def test_buried_tone(self):
-        assert modulation_snr(-2.0, 0.0) == pytest.approx(-2.0)
-
-    def test_revealed_tone(self):
-        assert modulation_snr(-2.0, -3.2) == pytest.approx(1.2)

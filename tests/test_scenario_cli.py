@@ -5,6 +5,7 @@ import pytest
 
 from squeezelab import cli, scenario
 from squeezelab.scenario import ScenarioError, paper_preset
+from squeezelab.spectrum import TraceLabel, read_traces_csv
 
 
 class TestPaperPreset:
@@ -31,6 +32,14 @@ class TestPaperPreset:
 
     def test_preset_validates(self):
         paper_preset().validate()
+
+    def test_every_key_is_read_by_a_subcommand(self):
+        # the EOM settings are library parameters, not scenario keys
+        flat = scenario.to_flat(paper_preset())
+        assert len(flat) == 33
+        assert not any(key.startswith("eom.") for key in flat)
+        with pytest.raises(ScenarioError, match="eom.n_Z"):
+            scenario.parse("eom.n_Z = 1.9\n")
 
 
 class TestConfigFormat:
@@ -108,7 +117,7 @@ class TestCli:
         assert code == 1
 
     def test_capacity_r_zero_collapses(self, tmp_path):
-        assert run_cli("capacity", "--r", "0", "--out", str(tmp_path)) == 0
+        assert run_cli("capacity", "--set", "capacity.squeeze_r=0", "--out", str(tmp_path)) == 0
         csv_path = next(tmp_path.glob("capacity-*.csv"))
         rows = csv_path.read_text().splitlines()[1:]
         by_kind = {}
@@ -179,3 +188,60 @@ class TestCli:
         )
         assert code == 0
         assert next(tmp_path.glob("trace-*.csv")).exists()
+
+    def test_trace_output_reads_back_as_two_traces(self, tmp_path):
+        code = run_cli(
+            "trace", "--out", str(tmp_path),
+            "--set", "trace.sweeps=2", "--set", "trace.duration=1e-4",
+        )
+        assert code == 0
+        estimate, target = read_traces_csv(next(tmp_path.glob("trace-*.csv")))
+        assert estimate.label is target.label is TraceLabel.SQUEEZED_QUADRATURE
+        assert target.frequencies[0] == 1e6 and target.frequencies.size == 801
+        assert estimate.frequencies[0] < target.frequencies[-1]
+
+
+class TestOptionPosition:
+    def test_options_before_subcommand_take_effect(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "results"
+        assert run_cli("--set", "trace.seed=7", "--out", str(out), "cavity") == 0
+        assert list(tmp_path.glob("cavity-*")) == []
+        assert "trace.seed = 7" in next(out.glob("cavity-*.meta")).read_text()
+
+    def test_set_on_both_sides_applies_in_order(self, tmp_path):
+        code = run_cli(
+            "--set", "trace.seed=7", "--set", "trace.sweeps=3", "cavity",
+            "--out", str(tmp_path), "--set", "trace.seed=8",
+        )
+        assert code == 0
+        meta = next(tmp_path.glob("cavity-*.meta")).read_text()
+        assert "trace.seed = 8" in meta and "trace.sweeps = 3" in meta
+
+    def test_config_before_subcommand(self, tmp_path):
+        cfg = tmp_path / "scn.cfg"
+        scenario.save(paper_preset(seed=11), cfg)
+        assert run_cli("--config", str(cfg), "cavity", "--out", str(tmp_path)) == 0
+        assert "trace.seed = 11" in next(tmp_path.glob("cavity-*.meta")).read_text()
+
+
+class TestCorrectOutputs:
+    def run_correct(self, out, observed, mode):
+        return run_cli("correct", "--observed-db", observed, "--mode", mode, "--out", str(out))
+
+    def test_distinct_runs_keep_distinct_files(self, tmp_path):
+        assert self.run_correct(tmp_path, "-3.75", "blocked") == 0
+        assert self.run_correct(tmp_path, "-3.00", "equal-power") == 0
+        assert len(list(tmp_path.glob("correct-*.csv"))) == 2
+        assert len(list(tmp_path.glob("correct-*.meta"))) == 2
+
+    def test_equal_runs_share_a_name(self, tmp_path):
+        assert self.run_correct(tmp_path, "-3.75", "blocked") == 0
+        assert self.run_correct(tmp_path, "-3.75", "blocked") == 0
+        assert len(list(tmp_path.glob("correct-*.csv"))) == 1
+
+    def test_corrected_db_is_a_plain_number(self, tmp_path):
+        assert self.run_correct(tmp_path, "-3.75", "blocked") == 0
+        row = next(tmp_path.glob("correct-*.csv")).read_text().splitlines()[1].split(",")
+        power_ratio = paper_preset().homodyne.power_ratio
+        assert float(row[3]) == pytest.approx(10 * math.log10(10 ** -0.375 - power_ratio), abs=1e-12)

@@ -162,6 +162,18 @@ class TestDetectedSpectrum:
                     got = detected_spectrum(op, chain, grid, quad).values_db
                     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
+    def test_array_matches_pointwise(self):
+        op, chain = paper_op(), paper_chain()
+        grid = default_frequency_grid(0.0, 30e6, 1e6)
+        for quad in (TraceLabel.SQUEEZED_QUADRATURE, TraceLabel.ANTISQUEEZED_QUADRATURE):
+            points = [detected_variance(op, chain, w, quad) for w in grid]
+            assert np.array_equal(detected_variance(op, chain, grid, quad), points)
+            assert np.array_equal(ideal_spectrum(op, grid, quad), [ideal_spectrum(op, w, quad) for w in grid])
+
+    def test_rejects_non_opa_quadrature(self):
+        with pytest.raises(ValueError):
+            detected_variance(paper_op(), paper_chain(), 1e6, TraceLabel.SHOT_NOISE)
+
     @given(eta=st.floats(0.1, 0.999))
     def test_loss_bound_property(self, eta):
         chain = DetectionChain(
@@ -205,5 +217,18 @@ class TestSpectrumTrace:
 
     def test_csv_header(self, tmp_path):
         path = tmp_path / "trace.csv"
-        flat_trace(0.0, [1e6]).write_csv(path)
+        write_traces_csv(path, [flat_trace(0.0, [1e6])])
         assert path.read_text().splitlines()[0] == "frequency_hz,value_db,label"
+
+    def test_csv_splits_traces_that_share_a_label(self, tmp_path):
+        # an estimate and its target carry one label; order and values survive
+        grid = default_frequency_grid(1e6, 5e6, 1e6)
+        first = flat_trace(-3.0, grid, TraceLabel.SQUEEZED_QUADRATURE)
+        second = detected_spectrum(paper_op(), paper_chain(), grid[1:])
+        path = tmp_path / "traces.csv"
+        write_traces_csv(path, [first, second])
+        back = read_traces_csv(path)
+        assert [t.label for t in back] == [first.label, second.label]
+        for original, restored in zip((first, second), back):
+            assert np.array_equal(restored.frequencies, original.frequencies)
+            assert np.array_equal(restored.values_db, original.values_db)
