@@ -1,6 +1,7 @@
 """Simulation and analysis toolkit for a bright phase-squeezed OPA beam."""
 
-from . import capacity, cavity, cli, eom, gaussian, homodyne, scenario, spectrum, tracesim
+# not `cli`: `python -m squeezelab.cli` warns when the package imported it first
+from . import capacity, cavity, eom, gaussian, homodyne, scenario, spectrum, tracesim
 
 __all__ = [
     "capacity",

@@ -192,59 +192,29 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("cavity", "spectrum", "interfere", "trace", "capacity"):
         sub.add_parser(name, parents=[common])
     p_correct = sub.add_parser("correct", parents=[common])
-    p_correct.add_argument("--observed-db", type=float, required=True)
-    p_correct.add_argument("--power-ratio", type=float, default=None,
+    p_correct.add_argument("--observed-db", type=scenario.finite_float, required=True)
+    p_correct.add_argument("--power-ratio", type=scenario.finite_float, default=None,
                            help="P_OPA/P_LO (default: from scenario)")
     p_correct.add_argument("--mode", choices=["blocked", "equal-power"], default="blocked")
     return parser
 
 
-def _collect_overrides(pairs: list[str], leftovers: list[str]) -> dict[str, object]:
-    flat: dict[str, object] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ScenarioError(f"--set {pair!r}: expected KEY=VALUE")
-        key, _, value = pair.partition("=")
-        flat[key.strip()] = scenario._parse_value(value)
-    # `--section.key value` mirror syntax
-    i = 0
-    while i < len(leftovers):
-        token = leftovers[i]
-        if not (token.startswith("--") and "." in token):
-            raise ScenarioError(f"unrecognized argument {token!r}")
-        if "=" in token:
-            key, _, value = token[2:].partition("=")
-            i += 1
-        else:
-            if i + 1 >= len(leftovers):
-                raise ScenarioError(f"missing value for {token!r}")
-            key, value = token[2:], leftovers[i + 1]
-            i += 2
-        flat[key] = scenario._parse_value(value)
-    return flat
-
-
-def resolve_scenario(args, leftovers: list[str]) -> Scenario:
-    if args.config is not None:
-        scn = scenario.load(args.config)
-    else:
-        scn = scenario.paper_preset()
-    overrides = _collect_overrides(args.set + args.set_after, leftovers)
-    if overrides:
-        flat = scenario.to_flat(scn)
-        flat.update(overrides)
-        scn = scenario.from_flat(flat)
-    scn.validate()
-    return scn
+def resolve_scenario(args) -> Scenario:
+    """Preset or --config scenario with the --set overrides applied, in order."""
+    scn = scenario.load(args.config) if args.config is not None else scenario.paper_preset()
+    flat = scenario.to_flat(scn)
+    for pair in args.set + args.set_after:
+        key, _, value = pair.partition("=")  # no `=`: the empty value is refused
+        flat[key.strip()] = value
+    return scenario.from_flat(flat)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args, leftovers = parser.parse_known_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        scn = resolve_scenario(args, leftovers)
+        scn = resolve_scenario(args)
         args.out.mkdir(parents=True, exist_ok=True)
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:

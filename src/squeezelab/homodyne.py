@@ -19,30 +19,29 @@ from .gaussian import QuadratureState, variance_at
 class HomodyneConfig:
     opa_power: float  # W, bright squeezed beam
     lo_power: float  # W, local oscillator
-    lo_phase_theta: float = math.pi / 2  # radians; pi/2 reads the phase quadrature
 
     def __post_init__(self):
-        if self.opa_power < 0.0 or self.lo_power < 0.0:
-            raise ValueError("beam powers must be >= 0")
+        if self.opa_power < 0.0:
+            raise ValueError(f"opa_power must be >= 0, got {self.opa_power}")
+        if self.lo_power <= 0.0:
+            raise ValueError(f"lo_power must be > 0, got {self.lo_power}")
 
     @property
     def power_ratio(self) -> float:
         """alpha^2 / beta^2 = P_OPA / P_LO."""
-        if self.lo_power == 0.0:
-            raise ValueError("lo_power must be > 0 for a power ratio")
         return self.opa_power / self.lo_power
 
 
 def difference_photocurrent_stats(
-    cfg: HomodyneConfig, opa: QuadratureState, lo: QuadratureState
+    cfg: HomodyneConfig, opa: QuadratureState, lo: QuadratureState, theta: float = math.pi / 2
 ) -> tuple[float, float]:
-    """Mean and variance of the balanced difference photocurrent.
+    """Mean and variance of the balanced difference photocurrent at LO phase `theta`.
 
     mean = 2*alpha*beta*cos(theta); variance = alpha^2 * V_LO(-theta)
     + beta^2 * V_OPA(theta), with amplitudes in sqrt(power) units so the
-    variance is in beta^2-proportional shot-noise units.
+    variance is in beta^2-proportional shot-noise units.  The default
+    theta = pi/2 reads the phase quadrature.
     """
-    theta = cfg.lo_phase_theta
     alpha = math.sqrt(cfg.opa_power)
     beta = math.sqrt(cfg.lo_power)
     mean = 2.0 * alpha * beta * math.cos(theta)

@@ -6,7 +6,9 @@ line, `#` comments, no nesting.  It round-trips exactly and diffs cleanly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import operator
+from dataclasses import dataclass, field, is_dataclass, replace
+from typing import get_type_hints
 
 from . import cavity as cavity_mod
 from .cavity import CavityParams
@@ -28,7 +30,7 @@ class CapacityConfig:
 
     def __post_init__(self):
         if not (0.0 < self.nbar_min < self.nbar_max):
-            raise ValueError("need 0 < nbar_min < nbar_max")
+            raise ValueError("nbar_min must satisfy 0 < nbar_min < nbar_max")
         if self.points < 2:
             raise ValueError("points must be >= 2")
         if self.squeeze_r < 0.0:
@@ -51,7 +53,7 @@ class InterfereConfig:
         if self.squeezed_floor_db >= 0.0:
             raise ValueError("squeezed_floor_db must be below shot noise (< 0)")
         if not (0.0 < self.band_min < self.band_max):
-            raise ValueError("need 0 < band_min < band_max")
+            raise ValueError("band_min must satisfy 0 < band_min < band_max")
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,6 @@ def paper_preset(seed: int = 0) -> Scenario:
         homodyne=HomodyneConfig(
             opa_power=0.16e-3,
             lo_power=4.2e-3,
-            lo_phase_theta=math.pi / 2,
         ),
         trace=TraceConfig(
             sample_rate=100e6,
@@ -141,108 +142,91 @@ def paper_preset(seed: int = 0) -> Scenario:
     )
 
 
-_SECTIONS = {
-    "cavity": (CavityParams, "cavity"),
-    "chain": (DetectionChain, "chain"),
-    "homodyne": (HomodyneConfig, "homodyne"),
-    "trace": (TraceConfig, "trace"),
-    "capacity": (CapacityConfig, "capacity"),
-    "interfere": (InterfereConfig, "interfere"),
-}
-
-_OPA_KEYS = {"pump_power": "opa_pump_power", "threshold_power": "opa_threshold_power"}
+def finite_float(value) -> float:
+    """A finite float from text or a number."""
+    result = float(value)
+    if not math.isfinite(result):
+        raise ValueError(f"not finite: {value!r}")
+    return result
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _parse_value(text: str):
-    text = text.strip()
-    if text.lower() == "none":
+def _typed(kind, value):
+    """`value`, as text or a number, converted to the declared field type `kind`."""
+    if kind is int:  # must be whole: '3.0' and 2.5 are refused
+        return int(value) if isinstance(value, str) else operator.index(value)
+    if kind == float | None and str(value).strip().lower() == "none":  # also None
         return None
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    return finite_float(value)
+
+
+# what a value of each declared field type must be, as error messages say it
+_EXPECTED = {int: "int", float: "finite float", float | None: "finite float or none"}
+
+
+def _schema() -> dict[str, tuple[str | None, str, object]]:
+    """Dotted key -> (section, or None for an `opa_*` field, field, declared type)."""
+    keys = {}
+    for attr, hint in get_type_hints(Scenario).items():
+        if is_dataclass(hint):
+            keys.update({f"{attr}.{k}": (attr, k, t) for k, t in get_type_hints(hint).items()})
+        else:
+            keys[attr.replace("_", ".", 1)] = (None, attr, hint)  # opa_x -> opa.x
+    return keys
+
+
+_KEYS = _schema()
 
 
 def to_flat(scenario: Scenario) -> dict[str, object]:
     """Scenario as an ordered flat mapping of dotted keys to values."""
-    flat: dict[str, object] = {}
-    for section, (_, attr) in _SECTIONS.items():
-        obj = getattr(scenario, attr)
-        for f in fields(obj):
-            flat[f"{section}.{f.name}"] = getattr(obj, f.name)
-        if section == "cavity":
-            flat["opa.pump_power"] = scenario.opa_pump_power
-            flat["opa.threshold_power"] = scenario.opa_threshold_power
-    return flat
+    return {
+        key: getattr(getattr(scenario, section) if section else scenario, name)
+        for key, (section, name, _) in _KEYS.items()
+    }
 
 
 def from_flat(flat: dict[str, object]) -> Scenario:
-    """Build a Scenario from dotted keys; unknown keys are rejected."""
-    by_section: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
-    opa: dict[str, object] = {}
-    for key, value in flat.items():
-        if "." not in key:
-            raise ScenarioError(f"{key}: expected a dotted section.key name")
-        section, _, name = key.partition(".")
-        if section == "opa":
-            if name not in _OPA_KEYS:
-                raise ScenarioError(f"{key}: unknown configuration key")
-            opa[_OPA_KEYS[name]] = value
-            continue
-        if section not in _SECTIONS:
-            raise ScenarioError(f"{key}: unknown configuration section")
-        cls, _ = _SECTIONS[section]
-        if name not in {f.name for f in fields(cls)}:
-            raise ScenarioError(f"{key}: unknown configuration key")
-        by_section[section][name] = value
+    """Validated Scenario from dotted keys over the paper preset.
 
-    base = paper_preset()
-    kwargs = {}
-    for section, (cls, attr) in _SECTIONS.items():
-        defaults = {f.name: getattr(getattr(base, attr), f.name) for f in fields(cls)}
-        defaults.update(by_section[section])
+    Each value, text or number, takes its field's declared type: a whole int,
+    a finite float, or `none` for None.  Every refusal raises ScenarioError
+    naming the dotted key (section checks name their field first).
+    """
+    changes: dict[str | None, dict[str, object]] = {}
+    for key, value in flat.items():
+        if key not in _KEYS:
+            raise ScenarioError(f"{key}: unknown configuration key")
+        section, name, kind = _KEYS[key]
         try:
-            kwargs[attr] = cls(**defaults)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{section}: {exc}") from exc
-    kwargs["opa_pump_power"] = opa.get("opa_pump_power", base.opa_pump_power)
-    kwargs["opa_threshold_power"] = opa.get("opa_threshold_power", base.opa_threshold_power)
-    scenario = Scenario(**kwargs)
+            changes.setdefault(section, {})[name] = _typed(kind, value)
+        except (TypeError, ValueError, OverflowError):
+            raise ScenarioError(f"{key}: expected {_EXPECTED[kind]}, got {value!r}") from None
+    base = paper_preset()
+    top = changes.pop(None, {})
+    for section, values in changes.items():
+        try:
+            top[section] = replace(getattr(base, section), **values)
+        except ValueError as exc:
+            raise ScenarioError(f"{section}.{exc}") from exc
+    scenario = replace(base, **top)
     scenario.validate()
     return scenario
 
 
 def serialize(scenario: Scenario) -> str:
-    lines = [f"{key} = {_format_value(value)}" for key, value in to_flat(scenario).items()]
+    # typed values: repr gives ints as ints and floats exactly, None is `none`
+    lines = [f"{k} = {'none' if v is None else repr(v)}" for k, v in to_flat(scenario).items()]
     return "\n".join(lines) + "\n"
 
 
 def parse(text: str) -> Scenario:
-    flat: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ScenarioError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        flat[key.strip()] = _parse_value(value)
+    """Scenario from `key = value` lines; a line without a value is refused by key."""
+    flat: dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0]
+        if line.strip():
+            key, _, value = line.partition("=")
+            flat[key.strip()] = value.strip()
     return from_flat(flat)
 
 

@@ -26,6 +26,10 @@ RNG_ALGORITHM = "philox4x64"
 # Noise-equivalent bandwidth of the Hann window, in frequency bins.
 HANN_NENB_BINS = 1.5
 
+# Most samples one sweep may synthesize (0.1 s at 100 MS/s); a sweep's
+# working arrays peak at about 45 bytes per sample, 0.45 GB at this cap.
+MAX_SAMPLES_PER_SWEEP = 10_000_000
+
 
 @dataclass(frozen=True)
 class TraceConfig:
@@ -33,7 +37,7 @@ class TraceConfig:
     duration: float = 1e-3  # s per sweep
     sweeps: int = 100
     rbw: float = 30e3  # Hz, resolution bandwidth
-    vbw: float = 10e3  # Hz, video bandwidth
+    vbw: float | None = 10e3  # Hz, video bandwidth; None = no video filter
     seed: int = 0
     electronic_floor_db: float | None = None  # dB rel. shot; None = no electronic noise
 
@@ -46,9 +50,16 @@ class TraceConfig:
             raise ValueError("vbw must be > 0")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # compared as floats first: the integer sample counts overflow on inf
+        if self.sample_rate * self.duration > MAX_SAMPLES_PER_SWEEP:
+            raise ValueError(f"duration gives more than {MAX_SAMPLES_PER_SWEEP} samples per sweep")
+        if HANN_NENB_BINS * self.sample_rate / self.rbw > MAX_SAMPLES_PER_SWEEP:
+            raise ValueError(f"rbw too narrow: one segment would exceed {MAX_SAMPLES_PER_SWEEP} samples")
         if self.samples_per_sweep < self.segment_length:
             raise ValueError(
-                "sweep too short for the requested RBW: "
+                "duration too short for the requested RBW: "
                 f"{self.samples_per_sweep} samples < segment of {self.segment_length}"
             )
 

@@ -16,8 +16,8 @@ from squeezelab.homodyne import (
 POWER_RATIO = 0.038  # P_OPA / P_LO = 0.16 mW / 4.2 mW
 
 
-def paper_config(theta=math.pi / 2):
-    return HomodyneConfig(opa_power=0.16e-3, lo_power=4.2e-3, lo_phase_theta=theta)
+def paper_config():
+    return HomodyneConfig(opa_power=0.16e-3, lo_power=4.2e-3)
 
 
 class TestDifferenceStats:
@@ -28,8 +28,10 @@ class TestDifferenceStats:
         assert mean == pytest.approx(0.0, abs=1e-15)
 
     def test_fringe_maximum(self):
-        cfg = paper_config(theta=0.0)
-        mean, _ = difference_photocurrent_stats(cfg, QuadratureState(1.0), QuadratureState(1.0))
+        cfg = paper_config()
+        mean, _ = difference_photocurrent_stats(
+            cfg, QuadratureState(1.0), QuadratureState(1.0), theta=0.0
+        )
         assert mean == pytest.approx(2 * math.sqrt(cfg.opa_power * cfg.lo_power), rel=1e-12)
 
     def test_paper_squeezed_variance(self):
@@ -43,8 +45,10 @@ class TestDifferenceStats:
         assert ratio_to_db(ratio) == pytest.approx(-3.75, abs=0.01)
 
     def test_coherent_beams_give_both_shot_noises(self):
-        cfg = paper_config(theta=0.7)
-        _, var = difference_photocurrent_stats(cfg, QuadratureState(1.0), QuadratureState(1.0))
+        cfg = paper_config()
+        _, var = difference_photocurrent_stats(
+            cfg, QuadratureState(1.0), QuadratureState(1.0), theta=0.7
+        )
         assert var == pytest.approx(cfg.opa_power + cfg.lo_power, rel=1e-12)
 
     def test_rejects_negative_power(self):

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import squeezelab
 from squeezelab import cli, scenario
 from squeezelab.scenario import ScenarioError, paper_preset
 from squeezelab.spectrum import TraceLabel, read_traces_csv
@@ -34,12 +40,20 @@ class TestPaperPreset:
         paper_preset().validate()
 
     def test_every_key_is_read_by_a_subcommand(self):
-        # the EOM settings are library parameters, not scenario keys
+        # the EOM settings and the LO phase are library parameters, not scenario keys
         flat = scenario.to_flat(paper_preset())
-        assert len(flat) == 33
+        assert len(flat) == 32
         assert not any(key.startswith("eom.") for key in flat)
+        assert "homodyne.lo_phase_theta" not in flat
         with pytest.raises(ScenarioError, match="eom.n_Z"):
             scenario.parse("eom.n_Z = 1.9\n")
+
+
+KEYS = list(scenario.to_flat(paper_preset()))
+# value text over a small alphabet: numbers, malformed numbers, nan, inf, none
+VALUE_TEXT = st.lists(
+    st.sampled_from([*"0123456789.-e", "nan", "inf", "none"]), max_size=8
+).map("".join)
 
 
 class TestConfigFormat:
@@ -62,8 +76,12 @@ class TestConfigFormat:
         with pytest.raises(ScenarioError, match="laser.power"):
             scenario.parse("laser.power = 1\n")
 
+    def test_line_without_value_names_key(self):
+        with pytest.raises(ScenarioError, match="trace.seed"):
+            scenario.parse("trace.seed\n")
+
     def test_invalid_value_names_section(self):
-        with pytest.raises(ScenarioError, match="cavity"):
+        with pytest.raises(ScenarioError, match="cavity.mirror_R1"):
             scenario.parse("cavity.mirror_R1 = 1.5\n")
 
     def test_cross_field_validation(self):
@@ -76,9 +94,70 @@ class TestConfigFormat:
         scenario.save(scn, path)
         assert scenario.load(path) == scn
 
+    @given(st.dictionaries(st.sampled_from(KEYS), VALUE_TEXT))
+    def test_any_value_text_is_typed_or_refused(self, flat):
+        try:
+            scn = scenario.from_flat(flat)
+        except ScenarioError:
+            return
+        text = scenario.serialize(scn)
+        assert scenario.serialize(scenario.parse(text)) == text
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def exit_code(*argv):
+    """Exit code of a CLI run, including argparse's exit on a bad flag."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Values refused before anything runs: exit 2, naming the key or flag.
+CONFIG_ERRORS = [
+    (["spectrum", "--set", "chain.phase_jitter_rms=nan"], "chain.phase_jitter_rms"),
+    (["spectrum", "--set", "trace.electronic_floor_db=nan"], "trace.electronic_floor_db"),
+    (["cavity", "--set", "trace.sweeps=2.5"], "trace.sweeps"),
+    (["cavity", "--set", "trace.seed=-1"], "trace.seed"),
+    (["cavity", "--set", "trace.duration=inf"], "trace.duration"),
+    (["cavity", "--set", "trace.duration=10"], "trace.duration"),
+    (["capacity", "--set", "capacity.points=3.0"], "capacity.points"),
+    (["cavity", "--set", "trace.vbw=abc"], "trace.vbw"),
+    (["correct", "--observed-db", "inf"], "--observed-db"),
+    (["correct", "--observed-db", "nan"], "--observed-db"),
+    (["correct", "--observed-db", "-3", "--power-ratio", "nan"], "--power-ratio"),
+    (["correct", "--observed-db", "-3", "--set", "homodyne.lo_power=0"], "homodyne.lo_power"),
+    (["cavity", "--cavity.mirror_R1", "0.99"], "--cavity.mirror_R1"),
+]
+
+
+@pytest.mark.parametrize("argv, name", CONFIG_ERRORS, ids=[" ".join(a) for a, _ in CONFIG_ERRORS])
+def test_bad_value_exits_2_naming_it(tmp_path, capsys, argv, name):
+    out = tmp_path / "out"
+    assert exit_code(*argv, "--out", str(out)) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_equal_scenarios_share_output_names(tmp_path):
+    assert run_cli("cavity", "--out", str(tmp_path)) == 0
+    assert run_cli("cavity", "--set", "trace.sample_rate=100000000", "--out", str(tmp_path)) == 0
+    assert len(list(tmp_path.glob("cavity-*.csv"))) == 1
+
+
+def test_module_entry_point_runs_without_warning(tmp_path):
+    src = str(Path(squeezelab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "squeezelab.cli",
+         "cavity", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 class TestCli:
@@ -141,10 +220,9 @@ class TestCli:
         code = run_cli("cavity", "--set", "cavity.nope=1", "--out", str(tmp_path))
         assert code == 2
 
-    def test_dotted_flag_override(self, tmp_path, capsys):
-        code = run_cli("cavity", "--out", str(tmp_path), "--cavity.mirror_R1", "0.99")
-        assert code == 0
-        assert "finesse = 122.301" not in capsys.readouterr().out
+    def test_set_without_value_exits_2(self, tmp_path, capsys):
+        assert run_cli("cavity", "--set", "trace.seed", "--out", str(tmp_path)) == 2
+        assert "trace.seed" in capsys.readouterr().err
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "scn.cfg"

@@ -44,6 +44,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg_with(rbw=0.0)
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"duration": 10.0}, "duration"),  # 1e9 samples: refused before any allocation
+        ({"duration": float("inf")}, "duration"),
+        ({"rbw": 1e-300}, "rbw"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_rejects_sweeps_too_large_and_negative_seed(self, overrides, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            cfg_with(**overrides)
+
 
 class TestSynthesize:
     def test_white_trace_has_unit_variance(self):
