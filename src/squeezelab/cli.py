@@ -180,6 +180,13 @@ def _common_options(after_subcommand: bool) -> argparse.ArgumentParser:
     return common
 
 
+def finite_db(text: str) -> float:
+    """A finite dB value whose power ratio is finite too (an argparse type)."""
+    value = scenario.finite_float(text)
+    gaussian.db_to_ratio(value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="squeezelab",
@@ -192,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("cavity", "spectrum", "interfere", "trace", "capacity"):
         sub.add_parser(name, parents=[common])
     p_correct = sub.add_parser("correct", parents=[common])
-    p_correct.add_argument("--observed-db", type=scenario.finite_float, required=True)
+    p_correct.add_argument("--observed-db", type=finite_db, required=True)
     p_correct.add_argument("--power-ratio", type=scenario.finite_float, default=None,
                            help="P_OPA/P_LO (default: from scenario)")
     p_correct.add_argument("--mode", choices=["blocked", "equal-power"], default="blocked")

@@ -120,8 +120,14 @@ def ratio_to_db(v):
 
 
 def db_to_ratio(d: float) -> float:
-    """Decibels -> power ratio, inverse of ratio_to_db."""
-    return 10.0 ** (d / 10.0)
+    """Decibels -> power ratio, inverse of ratio_to_db.
+
+    Raises ValueError when the ratio overflows a float.
+    """
+    try:
+        return math.pow(10.0, d / 10.0)
+    except OverflowError:
+        raise ValueError(f"must give a finite power ratio, got {d} dB") from None
 
 
 def composite_detection_efficiency(

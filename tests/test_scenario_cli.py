@@ -126,8 +126,12 @@ CONFIG_ERRORS = [
     (["cavity", "--set", "trace.duration=10"], "trace.duration"),
     (["capacity", "--set", "capacity.points=3.0"], "capacity.points"),
     (["cavity", "--set", "trace.vbw=abc"], "trace.vbw"),
+    (["trace", "--set", "trace.vbw=1e-300"], "trace.vbw"),  # rbw/vbw beyond the PSD bins
+    (["trace", "--set", "trace.vbw=5e-324"], "trace.vbw"),  # rbw/vbw = inf
+    (["trace", "--set", "trace.electronic_floor_db=4000"], "trace.electronic_floor_db"),
     (["correct", "--observed-db", "inf"], "--observed-db"),
     (["correct", "--observed-db", "nan"], "--observed-db"),
+    (["correct", "--observed-db", "4000"], "--observed-db"),  # power ratio overflows
     (["correct", "--observed-db", "-3", "--power-ratio", "nan"], "--power-ratio"),
     (["correct", "--observed-db", "-3", "--set", "homodyne.lo_power=0"], "homodyne.lo_power"),
     (["cavity", "--cavity.mirror_R1", "0.99"], "--cavity.mirror_R1"),
@@ -148,16 +152,30 @@ def test_equal_scenarios_share_output_names(tmp_path):
     assert len(list(tmp_path.glob("cavity-*.csv"))) == 1
 
 
-def test_module_entry_point_runs_without_warning(tmp_path):
+def src_env() -> dict[str, str]:
+    """Environment of a child interpreter that imports the squeezelab under test."""
     src = str(Path(squeezelab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point_runs_without_warning(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "squeezelab.cli",
          "cavity", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import squeezelab.cli, sys; squeezelab.scenario.paper_preset(); "
+         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))"],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCli:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from squeezelab.spectrum import TraceLabel, default_frequency_grid, detected_spe
 from squeezelab.tracesim import (
     PhotocurrentTrace,
     TraceConfig,
+    _ratio_to_trace,
+    _welch_ratio,
     averaged_psd,
     estimate_psd,
     synthesize_trace,
@@ -131,6 +135,36 @@ class TestEstimate:
         )
 
 
+class TestWelch:
+    @pytest.mark.parametrize("rbw, samples", [
+        (30e3, 5000),  # exactly one segment
+        (30e3, 7500),  # two segments
+        (1.5e8 / 4999, 200_000),  # odd segment length, 79 segments and a leftover
+    ])
+    def test_matches_scipy_welch(self, rbw, samples):
+        signal = pytest.importorskip("scipy.signal")
+        cfg = cfg_with(rbw=rbw, duration=samples / 100e6)
+        n = cfg.segment_length
+        x = np.random.default_rng(3).standard_normal(samples)
+        freqs, ratio = _welch_ratio(x, cfg)
+        ref_f, ref_p = signal.welch(x, fs=cfg.sample_rate, window="hann", nperseg=n,
+                                    noverlap=n // 2, detrend=False, scaling="density")
+        np.testing.assert_array_equal(freqs, ref_f[1:-1])
+        np.testing.assert_allclose(ratio, ref_p[1:-1] * cfg.sample_rate / 2.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("vbw", [10e3, 7.5e3, 300.0])  # 3, 4 and 100 bins
+    def test_vbw_is_edge_clamped_moving_mean(self, vbw):
+        cfg = cfg_with(vbw=vbw)
+        m = cfg.vbw_bins
+        ratio = np.random.default_rng(5).exponential(size=cfg.psd_bins)
+        freqs = np.arange(ratio.size, dtype=float)
+        got = _ratio_to_trace(freqs, ratio, cfg, TraceLabel.SHOT_NOISE).ratio()
+        clamp = lambda i: ratio[min(max(i, 0), ratio.size - 1)]
+        want = [np.mean([clamp(j) for j in range(i - m // 2, i - m // 2 + m)])
+                for i in range(ratio.size)]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 class TestParseval:
     def test_integrated_psd_matches_variance(self):
         cfg = cfg_with(duration=2e-3, vbw=None)
@@ -191,6 +225,22 @@ class TestDeterminism:
         first = averaged_psd(cfg, target, (4.5e6, 0.01))
         second = averaged_psd(cfg, target, (4.5e6, 0.01))
         assert np.array_equal(first.values_db, second.values_db)
+
+    def test_psd_equals_serial_fold_in_sweep_order(self):
+        scn = scenario.paper_preset()
+        target = detected_spectrum(scn.operating_point(), scn.chain, default_frequency_grid())
+        cfg = cfg_with(sweeps=3, electronic_floor_db=-12.0)
+        tone = (4.5e6, tone_amplitude_for_db(-1.0, cfg))
+        threads = threading.active_count()
+        pooled = averaged_psd(cfg, target, tone, TraceLabel.SQUEEZED_QUADRATURE)
+        assert threading.active_count() == threads
+        acc = 0.0
+        for k in range(cfg.sweeps):
+            freqs, ratio = _welch_ratio(synthesize_trace(cfg, target, tone, k).samples, cfg)
+            acc = acc + ratio
+        serial = _ratio_to_trace(freqs, acc / cfg.sweeps, cfg, TraceLabel.SQUEEZED_QUADRATURE)
+        assert np.array_equal(pooled.frequencies, serial.frequencies)
+        assert np.array_equal(pooled.values_db, serial.values_db)
 
     def test_seed_changes_trace(self):
         a = synthesize_trace(cfg_with(seed=1))
