@@ -16,6 +16,8 @@ import numpy as np
 
 from .gaussian import _require
 
+MAX_NBAR_POINTS = 100_000  # most grid points a capacity run may ask for; curve_suite keeps several
+
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -96,8 +98,11 @@ def holevo_bound(nbar):
     """Holevo capacity (1+n)log2(1+n) - n log2 n, continuously extended to 0 at n=0."""
     n = np.asarray(nbar, dtype=float)
     _require(n >= 0.0, n, "nbar must be >= 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bits = (1.0 + n) * np.log2(1.0 + n) - n * np.log2(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # as log2(1+n) + n log2(1 + 1/n), which does not cancel at large n; below
+        # n = 1, where 1/n may overflow, ln(1 + 1/n) is log1p(n) - ln n
+        tail = n * np.where(n < 1.0, np.log1p(n) - np.log(n), np.log1p(1.0 / n))
+        bits = np.log2(1.0 + n) + tail / math.log(2.0)
     return np.where(n == 0.0, 0.0, bits)[()]
 
 

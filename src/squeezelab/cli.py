@@ -3,8 +3,9 @@
 Subcommands:
   cavity     resonator report (FSR, finesse, FWHM, threshold, escape efficiency)
   spectrum   analytic detected squeezing spectrum
-  correct    bright-beam shot-noise corrections of an observed dB value
-  interfere  coherent-vs-squeezed modulation-detection comparison (two PSDs)
+  correct    bright-beam shot-noise corrections of an observed dB value, at the
+             scenario's power ratio homodyne.opa_power / homodyne.lo_power
+  interfere  tone PSDs under a coherent and a squeezed floor (up to interfere.band_max)
   trace      PSD of a synthesized photocurrent trace against the analytic target
   capacity   channel-capacity curves versus mean photon number
 
@@ -85,7 +86,7 @@ def run_spectrum(scn: Scenario, out_dir: Path, args) -> Path:
 
 def run_correct(scn: Scenario, out_dir: Path, args) -> Path:
     observed_ratio = gaussian.db_to_ratio(args.observed_db)
-    power_ratio = args.power_ratio if args.power_ratio is not None else scn.homodyne.power_ratio
+    power_ratio = scn.homodyne.power_ratio
     if args.mode == "blocked":
         corrected = homodyne.correct_blocked_shot_noise(observed_ratio, power_ratio)
     else:
@@ -103,18 +104,14 @@ def run_correct(scn: Scenario, out_dir: Path, args) -> Path:
     return csv_path
 
 
-def _interfere_targets(scn: Scenario):
-    cfg = scn.trace
-    icfg = scn.interfere
-    grid = spectrum.default_frequency_grid(icfg.band_min, icfg.band_max, scn.trace.rbw)
-    squeezed = spectrum.flat_trace(icfg.squeezed_floor_db, grid, TraceLabel.SQUEEZED_QUADRATURE)
-    tone = (icfg.tone_frequency, tracesim.tone_amplitude_for_db(icfg.tone_db_rel_shot, cfg))
-    return squeezed, tone
-
-
 def run_interfere(scn: Scenario, out_dir: Path, args) -> Path:
     cfg = scn.trace
-    squeezed_target, tone = _interfere_targets(scn)
+    icfg = scn.interfere
+    # ratio_at holds the one point's floor below band_max and is shot noise above it
+    squeezed_target = spectrum.flat_trace(
+        icfg.squeezed_floor_db, [icfg.band_max], TraceLabel.SQUEEZED_QUADRATURE
+    )
+    tone = (icfg.tone_frequency, tracesim.tone_amplitude_for_db(icfg.tone_db_rel_shot, cfg))
     coherent_psd = tracesim.averaged_psd(cfg, None, tone, TraceLabel.SHOT_NOISE)
     squeezed_psd = tracesim.averaged_psd(cfg, squeezed_target, tone, TraceLabel.SQUEEZED_QUADRATURE)
     csv_path = write_metadata(
@@ -200,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name, parents=[common])
     p_correct = sub.add_parser("correct", parents=[common])
     p_correct.add_argument("--observed-db", type=finite_db, required=True)
-    p_correct.add_argument("--power-ratio", type=scenario.finite_float, default=None,
-                           help="P_OPA/P_LO (default: from scenario)")
     p_correct.add_argument("--mode", choices=["blocked", "equal-power"], default="blocked")
     return parser
 

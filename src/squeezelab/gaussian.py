@@ -28,22 +28,16 @@ class QuadratureState:
     """A bright Gaussian mode: mean amplitude plus squeezed fluctuations.
 
     mean_amplitude is the dimensionless field amplitude (sqrt photon flux);
-    squeeze_r >= 0 is the squeezing parameter; phase_offset_theta is the
-    LO-relative quadrature angle of the mode.
+    squeeze_r >= 0 is the squeezing parameter.
     """
 
     mean_amplitude: float
     squeeze_r: float = 0.0
     squeezed_quadrature: Quadrature = Quadrature.PHASE
-    phase_offset_theta: float = 0.0
 
     def __post_init__(self):
         if not (self.squeeze_r >= 0.0):
             raise ValueError(f"squeeze_r must be >= 0, got {self.squeeze_r}")
-
-    def variance(self) -> float:
-        """Quadrature variance at this state's own analysis angle."""
-        return variance_at(self, self.phase_offset_theta)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,21 @@
-"""Scenario configuration: one flat record of every physical parameter.
+"""Scenario configuration: one flat record of every parameter a run reads.
 
-The on-disk format is deliberately plain: one `section.key = value` per
-line, `#` comments, no nesting.  It round-trips exactly and diffs cleanly.
+Each value has one source: its section default, the preset's departure from
+it, or a file or `--set` in the plain `section.key = value` format (`#` comments).
 """
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, is_dataclass, replace
 from typing import get_type_hints
 
 from . import cavity as cavity_mod
+from .capacity import MAX_NBAR_POINTS
 from .cavity import CavityParams
 from .homodyne import HomodyneConfig
-from .spectrum import DetectionChain, OpaOperatingPoint
+from .spectrum import DEFAULT_GRID_STOP, DetectionChain, OpaOperatingPoint
 from .tracesim import TraceConfig
 
 
@@ -29,12 +31,18 @@ class CapacityConfig:
     squeeze_r: float = 0.3776  # exp(-2r) = 0.47, the -3.2 dB operating point
 
     def __post_init__(self):
+        if not (2 <= self.points <= MAX_NBAR_POINTS):
+            raise ValueError(f"points must be in [2, {MAX_NBAR_POINTS}], got {self.points}")
         if not (0.0 < self.nbar_min < self.nbar_max):
             raise ValueError("nbar_min must satisfy 0 < nbar_min < nbar_max")
-        if self.points < 2:
-            raise ValueError("points must be >= 2")
         if self.squeeze_r < 0.0:
             raise ValueError("squeeze_r must be >= 0")
+        # 4 e^{2r} nbar and e^{2r} must be finite; in logs, so that exp cannot raise
+        if 2.0 * self.squeeze_r + math.log(4.0 * max(self.nbar_max, 1.0)) >= math.log(sys.float_info.max):
+            raise ValueError("squeeze_r and capacity.nbar_max: 4 exp(2 squeeze_r) nbar_max overflows")
+        # geomspace rounds its values by ~1e-13 relative: far larger steps keep them increasing
+        if math.log(self.nbar_max) - math.log(self.nbar_min) < 1e-9 * (self.points - 1):
+            raise ValueError(f"nbar_max: the {self.points}-point grid from nbar_min steps by < 1e-9")
 
 
 @dataclass(frozen=True)
@@ -43,17 +51,12 @@ class InterfereConfig:
 
     tone_frequency: float = 4.5e6  # Hz
     tone_db_rel_shot: float = -1.0  # displayed tone level, dB rel. shot noise
-    squeezed_floor_db: float = -3.2  # broadband squeezed floor, dB rel. shot
-    band_min: float = 1e6  # Hz, analysis band of the squeezed floor
-    band_max: float = 20e6
+    squeezed_floor_db: float = -3.2  # squeezed floor, dB rel. shot, from 0 Hz up to band_max
+    band_max: float = 20e6  # Hz, top of the squeezing band; shot noise above it
 
     def __post_init__(self):
-        if self.tone_frequency <= 0.0:
-            raise ValueError("tone_frequency must be > 0")
         if self.squeezed_floor_db >= 0.0:
             raise ValueError("squeezed_floor_db must be below shot noise (< 0)")
-        if not (0.0 < self.band_min < self.band_max):
-            raise ValueError("band_min must satisfy 0 < band_min < band_max")
 
 
 @dataclass(frozen=True)
@@ -82,16 +85,18 @@ class Scenario:
                 "opa.pump_power: must be below opa.threshold_power "
                 f"({self.opa_pump_power} >= {self.opa_threshold_power})"
             )
+        # one rule over every frequency a subcommand analyses: 0 < f < Nyquist
         nyquist = self.trace.sample_rate / 2.0
-        if self.interfere.tone_frequency >= nyquist:
-            raise ScenarioError(
-                "interfere.tone_frequency: above Nyquist "
-                f"({self.interfere.tone_frequency:g} >= {nyquist:g})"
-            )
-        if self.interfere.band_max >= nyquist:
-            raise ScenarioError(
-                f"interfere.band_max: above Nyquist ({self.interfere.band_max:g} >= {nyquist:g})"
-            )
+        for name, freq in (("interfere.tone_frequency", self.interfere.tone_frequency),
+                           ("interfere.band_max", self.interfere.band_max),
+                           ("the spectrum and trace grid top", DEFAULT_GRID_STOP)):
+            if not 0.0 < freq < nyquist:
+                raise ScenarioError(f"{name} = {freq:g} Hz must lie in (0, Nyquist), and "
+                                    f"Nyquist = trace.sample_rate / 2 = {nyquist:g} Hz")
+        try:
+            self.trace.check_level(self.interfere.tone_db_rel_shot, "interfere.tone_db_rel_shot")
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
 
 
 # Scenario parameters that are not stated in the source experiment and are
@@ -103,42 +108,17 @@ PRESET_ASSUMPTIONS = (
 )
 
 
-def paper_preset(seed: int = 0) -> Scenario:
-    """Scenario populated with the measured constants of the experiment."""
+def paper_preset() -> Scenario:
+    """The experiment's values where they differ from the section defaults."""
     return Scenario(
         cavity=CavityParams(
-            geometric_length=0.052,
-            crystal_length=0.005,
-            mirror_R1=0.95,
-            mirror_R2=0.99992,
-            crystal_index=1.830,
-            intracavity_loss=0.0,
-            shg_efficiency=3.83e-3,
+            geometric_length=0.052, crystal_length=0.005, mirror_R1=0.95, mirror_R2=0.99992
         ),
         opa_pump_power=0.130,
         opa_threshold_power=0.145,
-        chain=DetectionChain(
-            quantum_efficiency=0.95,
-            homodyne_contrast=0.96,
-            propagation_efficiency=0.94,
-            escape_efficiency=1.0,
-            phase_jitter_rms=0.0131,
-        ),
-        homodyne=HomodyneConfig(
-            opa_power=0.16e-3,
-            lo_power=4.2e-3,
-        ),
-        trace=TraceConfig(
-            sample_rate=100e6,
-            duration=1e-3,
-            sweeps=100,
-            rbw=30e3,
-            vbw=10e3,
-            seed=seed,
-            electronic_floor_db=-12.0,
-        ),
-        capacity=CapacityConfig(),
-        interfere=InterfereConfig(),
+        chain=DetectionChain(phase_jitter_rms=0.0131),
+        homodyne=HomodyneConfig(opa_power=0.16e-3, lo_power=4.2e-3),
+        trace=TraceConfig(electronic_floor_db=-12.0),
     )
 
 

@@ -74,12 +74,7 @@ class DetectionChain:
             raise ValueError("escape_efficiency must be in (0, 1]")
         if self.phase_jitter_rms < 0.0:
             raise ValueError("phase_jitter_rms must be >= 0")
-        # validates the three detection factors
-        gaussian.composite_detection_efficiency(
-            self.quantum_efficiency,
-            self.homodyne_contrast,
-            self.propagation_efficiency,
-        )
+        self.detection_efficiency  # validates the three detection factors
 
     @property
     def detection_efficiency(self) -> float:

@@ -16,6 +16,7 @@ does not depend on the number of threads.
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -72,10 +73,17 @@ class TraceConfig:
                 f"vbw too narrow: rbw/vbw = {self.rbw / self.vbw:g} exceeds the {self.psd_bins} PSD bins"
             )
         if self.electronic_floor_db is not None:
-            try:
-                db_to_ratio(self.electronic_floor_db)
-            except ValueError as exc:
-                raise ValueError(f"electronic_floor_db {exc}") from None
+            self.check_level(self.electronic_floor_db, "electronic_floor_db")
+
+    def check_level(self, db: float, name: str) -> None:
+        """Refuse the level `name` at `db` dB rel. shot noise unless its power ratio
+        * segment_length**2, about its largest periodogram value, is finite."""
+        try:
+            ratio = db_to_ratio(db)
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None
+        if not math.isfinite(ratio * float(self.segment_length) ** 2):
+            raise ValueError(f"{name} must keep the periodogram finite, got {db} dB")
 
     @property
     def samples_per_sweep(self) -> int:
@@ -121,7 +129,7 @@ def sweep_rng(cfg: TraceConfig, sweep_index: int) -> np.random.Generator:
 def tone_amplitude_for_db(db_rel_shot: float, cfg: TraceConfig) -> float:
     """Sinusoid amplitude whose displayed peak sits `db_rel_shot` above (or
     below, if negative) the shot-noise floor in one RBW bin."""
-    return 2.0 * np.sqrt(10.0 ** (db_rel_shot / 10.0) * cfg.rbw / cfg.sample_rate)
+    return 2.0 * np.sqrt(db_to_ratio(db_rel_shot) * cfg.rbw / cfg.sample_rate)
 
 
 def _sweep_invariants(

@@ -122,6 +122,15 @@ class TestHolevo:
         assert holevo_bound(3.0) == pytest.approx(4 * 2 - 3 * math.log2(3), rel=1e-12)
         assert holevo_bound(3.0) == pytest.approx(3.245, abs=1e-3)
 
+    @pytest.mark.parametrize("nbar", [1e12, 1e15, 1e18, 1e308])
+    def test_large_n_without_cancellation(self, nbar):
+        # (1+n)log2(1+n) - n log2 n = log2 n + 1/ln 2 + O(1/n)
+        assert holevo_bound(nbar) == pytest.approx(math.log2(nbar) + 1 / math.log(2), rel=1e-13)
+
+    def test_subnormal_n_is_tiny_not_inf(self):
+        # 1/n overflows below about 5.6e-309; -n log2 n dominates there
+        assert holevo_bound(1e-320) == pytest.approx(-1e-320 * math.log2(1e-320), rel=1e-2)
+
     @given(nbar=st.floats(1e-6, 100.0), r=st.sampled_from([0.0, R_PAPER, 1.0]))
     def test_dominates_other_bounds(self, nbar, r):
         hol = holevo_bound(nbar)

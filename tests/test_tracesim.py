@@ -58,6 +58,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} "):
             cfg_with(**overrides)
 
+    def test_level_must_keep_the_periodogram_finite(self):
+        # ratio * segment_length**2: 1e300 * 2.5e7 is finite, 1e304 * 2.5e7 is not
+        assert cfg_with(electronic_floor_db=3000.0).electronic_floor_db == 3000.0
+        with pytest.raises(ValueError, match="^electronic_floor_db must keep the periodogram finite"):
+            cfg_with(electronic_floor_db=3040.0)
+        with pytest.raises(ValueError, match="^tone must give a finite power ratio"):
+            cfg_with().check_level(4000.0, "tone")
+
+    def test_tone_amplitude_overflow_is_a_value_error(self):
+        with pytest.raises(ValueError, match="4000"):
+            tone_amplitude_for_db(4000.0, cfg_with())
+
 
 class TestSynthesize:
     def test_white_trace_has_unit_variance(self):
