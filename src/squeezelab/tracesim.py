@@ -77,7 +77,7 @@ class TraceConfig:
 
     def check_level(self, db: float, name: str) -> None:
         """Refuse the level `name` at `db` dB rel. shot noise unless its power ratio
-        * segment_length**2, about its largest periodogram value, is finite."""
+        * segment_length**2, which bounds its periodogram values with room, is finite."""
         try:
             ratio = db_to_ratio(db)
         except ValueError as exc:
