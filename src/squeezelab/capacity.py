@@ -19,19 +19,6 @@ from .gaussian import _require
 MAX_NBAR_POINTS = 100_000  # most grid points a capacity run may ask for; curve_suite keeps several
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    signal_variance_VS: float
-    noise_variance_VN: float
-    squeeze_r: float = 0.0
-
-    def __post_init__(self):
-        if self.signal_variance_VS < 0.0:
-            raise ValueError("signal variance must be >= 0")
-        if self.noise_variance_VN <= 0.0:
-            raise ValueError("noise variance must be > 0")
-
-
 class BoundKind(enum.Enum):
     COHERENT = "coherent"
     COHERENT_WITH_SQUEEZED_DETECTION = "coherent_with_squeezed_detection"
@@ -50,21 +37,6 @@ class CapacityCurve:
         self.capacities = np.asarray(self.capacities, dtype=float)
         if self.nbar_grid.shape != self.capacities.shape:
             raise ValueError("grid and capacities must be aligned")
-
-
-def capacity_generic(spec: ChannelSpec) -> float:
-    """Shannon capacity (1/2) log2(1 + V_S/V_N) of a Gaussian channel."""
-    return 0.5 * math.log2(1.0 + spec.signal_variance_VS / spec.noise_variance_VN)
-
-
-def nbar_from_variances(V0: float, Vpi2: float) -> float:
-    """Mean photon number (V0 + V_pi/2)/4 - 1/2 from the two quadrature variances."""
-    if V0 < 0.0 or Vpi2 < 0.0:
-        raise ValueError("variances must be >= 0")
-    nbar = 0.25 * (V0 + Vpi2) - 0.5
-    if nbar < 0.0:
-        raise ValueError(f"non-physical variance pair: nbar = {nbar} < 0")
-    return nbar
 
 
 def capacity_coherent(nbar):

@@ -38,8 +38,10 @@ class CavityParams:
                 raise ValueError(f"{name} must be in (0, 1), got {r}")
         if not (0.0 <= self.intracavity_loss < 1.0):
             raise ValueError("intracavity_loss must be in [0, 1)")
-        if self.shg_efficiency <= 0.0:
-            raise ValueError("shg_efficiency must be > 0")
+        if not (self.shg_efficiency > 0.0 and math.isfinite(threshold_power(self))):
+            raise ValueError(
+                f"shg_efficiency must be > 0 with a finite threshold_power, got {self.shg_efficiency}"
+            )
 
 
 def optical_length(c: CavityParams) -> float:

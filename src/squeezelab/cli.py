@@ -94,8 +94,7 @@ def run_correct(scn: Scenario, out_dir: Path, args) -> Path:
     corrected_db = float(gaussian.ratio_to_db(corrected))
     print(f"corrected squeezing: {corrected_db:.2f} dB")
     csv_path = write_metadata(
-        out_dir, scn, "correct",
-        {"observed_db": args.observed_db, "power_ratio": power_ratio, "mode": args.mode},
+        out_dir, scn, "correct", {"observed_db": args.observed_db, "mode": args.mode}
     )
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -114,11 +113,7 @@ def run_interfere(scn: Scenario, out_dir: Path, args) -> Path:
     tone = (icfg.tone_frequency, tracesim.tone_amplitude_for_db(icfg.tone_db_rel_shot, cfg))
     coherent_psd = tracesim.averaged_psd(cfg, None, tone, TraceLabel.SHOT_NOISE)
     squeezed_psd = tracesim.averaged_psd(cfg, squeezed_target, tone, TraceLabel.SQUEEZED_QUADRATURE)
-    csv_path = write_metadata(
-        out_dir, scn, "interfere",
-        {"tone_frequency_hz": scn.interfere.tone_frequency,
-         "tone_db_rel_shot": scn.interfere.tone_db_rel_shot},
-    )
+    csv_path = write_metadata(out_dir, scn, "interfere")
     spectrum.write_traces_csv(csv_path, [coherent_psd, squeezed_psd])
     print(f"wrote coherent and squeezed reference PSDs -> {csv_path}")
     return csv_path
@@ -218,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
     except (ScenarioError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:  # only --config is read as text
+        print(f"configuration error: {args.config}: {exc}", file=sys.stderr)
         return 2
     try:
         _RUNNERS[args.subcommand](scn, args.out, args)

@@ -9,18 +9,10 @@ antisqueezed variance exp(+2r).
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class Quadrature(enum.Enum):
-    """Which quadrature carries the reduced (exp(-2r)) variance."""
-
-    PHASE = "phase"
-    AMPLITUDE = "amplitude"
 
 
 @dataclass(frozen=True)
@@ -33,7 +25,6 @@ class QuadratureState:
 
     mean_amplitude: float
     squeeze_r: float = 0.0
-    squeezed_quadrature: Quadrature = Quadrature.PHASE
 
     def __post_init__(self):
         if not (self.squeeze_r >= 0.0):
@@ -57,15 +48,10 @@ def variance_at(state: QuadratureState, theta: float) -> float:
     """Quadrature variance of `state` at analysis angle theta (radians).
 
     Phase-squeezed: V(theta) = exp(-2r) sin^2(theta) + exp(+2r) cos^2(theta),
-    so theta = pi/2 reads the squeezed quadrature.  Amplitude-squeezed swaps
-    the two axes.
+    so theta = pi/2 reads the squeezed quadrature.
     """
     r = state.squeeze_r
-    s2 = math.sin(theta) ** 2
-    c2 = math.cos(theta) ** 2
-    if state.squeezed_quadrature is Quadrature.PHASE:
-        return math.exp(-2.0 * r) * s2 + math.exp(2.0 * r) * c2
-    return math.exp(-2.0 * r) * c2 + math.exp(2.0 * r) * s2
+    return math.exp(-2.0 * r) * math.sin(theta) ** 2 + math.exp(2.0 * r) * math.cos(theta) ** 2
 
 
 def _require(ok, values, message: str) -> None:

@@ -1,4 +1,4 @@
-"""Balanced homodyne statistics of a bright squeezed beam against a strong LO.
+"""Shot-noise calibration of balanced homodyne detection of a bright squeezed beam.
 
 Because the measured beam is bright (not a squeezed vacuum), its mean field
 adds a shot-noise offset alpha^2 to the difference-photocurrent variance.
@@ -9,10 +9,7 @@ substituted for it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-from .gaussian import QuadratureState, variance_at
 
 
 @dataclass(frozen=True)
@@ -30,23 +27,6 @@ class HomodyneConfig:
     def power_ratio(self) -> float:
         """alpha^2 / beta^2 = P_OPA / P_LO."""
         return self.opa_power / self.lo_power
-
-
-def difference_photocurrent_stats(
-    cfg: HomodyneConfig, opa: QuadratureState, lo: QuadratureState, theta: float = math.pi / 2
-) -> tuple[float, float]:
-    """Mean and variance of the balanced difference photocurrent at LO phase `theta`.
-
-    mean = 2*alpha*beta*cos(theta); variance = alpha^2 * V_LO(-theta)
-    + beta^2 * V_OPA(theta), with amplitudes in sqrt(power) units so the
-    variance is in beta^2-proportional shot-noise units.  The default
-    theta = pi/2 reads the phase quadrature.
-    """
-    alpha = math.sqrt(cfg.opa_power)
-    beta = math.sqrt(cfg.lo_power)
-    mean = 2.0 * alpha * beta * math.cos(theta)
-    variance = alpha**2 * variance_at(lo, -theta) + beta**2 * variance_at(opa, theta)
-    return mean, variance
 
 
 def blocked_shot_noise_ratio(squeezed_variance: float, power_ratio: float) -> float:

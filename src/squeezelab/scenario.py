@@ -50,7 +50,9 @@ class InterfereConfig:
     """Settings for the coherent-vs-squeezed modulation-detection comparison."""
 
     tone_frequency: float = 4.5e6  # Hz
-    tone_db_rel_shot: float = -1.0  # displayed tone level, dB rel. shot noise
+    # tone level in one RBW bin, dB rel. shot noise; the default 3-bin VBW
+    # displays it 3.01 dB lower (see tracesim.tone_amplitude_for_db)
+    tone_db_rel_shot: float = -1.0
     squeezed_floor_db: float = -3.2  # squeezed floor, dB rel. shot, from 0 Hz up to band_max
     band_max: float = 20e6  # Hz, top of the squeezing band; shot noise above it
 
@@ -213,8 +215,3 @@ def parse(text: str) -> Scenario:
 def load(path) -> Scenario:
     with open(path) as fh:
         return parse(fh.read())
-
-
-def save(scenario: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(serialize(scenario))

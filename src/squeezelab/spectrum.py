@@ -72,8 +72,9 @@ class DetectionChain:
     def __post_init__(self):
         if not (0.0 < self.escape_efficiency <= 1.0):
             raise ValueError("escape_efficiency must be in (0, 1]")
-        if self.phase_jitter_rms < 0.0:
-            raise ValueError("phase_jitter_rms must be >= 0")
+        # the antisqueezed quadrature sits pi/2 - sigma from the squeezed axis
+        if not (0.0 <= self.phase_jitter_rms <= math.pi / 2):
+            raise ValueError(f"phase_jitter_rms must be in [0, pi/2], got {self.phase_jitter_rms}")
         self.detection_efficiency  # validates the three detection factors
 
     @property

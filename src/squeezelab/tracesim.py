@@ -16,6 +16,7 @@ does not depend on the number of threads.
 """
 from __future__ import annotations
 
+import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -127,9 +128,33 @@ def sweep_rng(cfg: TraceConfig, sweep_index: int) -> np.random.Generator:
 
 
 def tone_amplitude_for_db(db_rel_shot: float, cfg: TraceConfig) -> float:
-    """Sinusoid amplitude whose displayed peak sits `db_rel_shot` above (or
-    below, if negative) the shot-noise floor in one RBW bin."""
+    """Sinusoid amplitude whose peak sits `db_rel_shot` above (or below, if
+    negative) the shot-noise floor in one RBW bin, before the VBW mean.
+
+    A bin-centred tone displays at this level with `vbw=None`.  The default
+    3-bin VBW mean spreads the Hann main lobe (1/4, 1, 1/4) over 3 bins, so
+    it displays 3.01 dB lower: +10 dB reads 6.99 dB.
+    """
     return 2.0 * np.sqrt(db_to_ratio(db_rel_shot) * cfg.rbw / cfg.sample_rate)
+
+
+class ToneVisibility(enum.Enum):
+    HIDDEN = "hidden"
+    REVEALED_BY_SQUEEZING = "revealed_by_squeezing"
+    VISIBLE_CLASSICALLY = "visible_classically"
+
+
+def classify_tone(
+    tone_db_rel_shot: float,
+    squeezed_floor_db_rel_shot: float,
+    shot_floor_db: float = 0.0,
+) -> ToneVisibility:
+    """Classify a tone against the classical and squeezed noise floors."""
+    if tone_db_rel_shot >= shot_floor_db:
+        return ToneVisibility.VISIBLE_CLASSICALLY
+    if tone_db_rel_shot >= squeezed_floor_db_rel_shot:
+        return ToneVisibility.REVEALED_BY_SQUEEZING
+    return ToneVisibility.HIDDEN
 
 
 def _sweep_invariants(

@@ -6,61 +6,16 @@ from hypothesis import given, strategies as st
 
 from squeezelab.capacity import (
     BoundKind,
-    ChannelSpec,
     capacity_coherent,
     capacity_coherent_squeezed_detection,
-    capacity_generic,
     capacity_squeezed_encoding,
     curve_suite,
     default_nbar_grid,
     holevo_bound,
-    nbar_from_variances,
     write_curves_csv,
 )
 
 R_PAPER = 0.3776  # exp(-2r) = 0.47, the -3.2 dB operating point
-
-
-class TestGeneric:
-    def test_zero_signal(self):
-        assert capacity_generic(ChannelSpec(0.0, 1.0)) == 0.0
-
-    def test_one_bit(self):
-        assert capacity_generic(ChannelSpec(3.0, 1.0)) == pytest.approx(1.0)
-
-    def test_squeezed_noise_floor(self):
-        c = capacity_generic(ChannelSpec(4.0, 0.47))
-        assert c == pytest.approx(0.5 * math.log2(1 + 4 / 0.47), rel=1e-12)
-        assert c == pytest.approx(1.625, abs=1e-3)
-
-    def test_equals_coherent_form(self):
-        for nbar in (0.1, 1.0, 7.3):
-            assert capacity_generic(ChannelSpec(4 * nbar, 1.0)) == pytest.approx(
-                capacity_coherent(nbar), rel=1e-12
-            )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            ChannelSpec(1.0, 0.0)
-
-
-class TestNbarFromVariances:
-    def test_vacuum(self):
-        assert nbar_from_variances(1.0, 1.0) == pytest.approx(0.0)
-
-    def test_signal_beam(self):
-        assert nbar_from_variances(3.0, 1.0) == pytest.approx(0.5)
-
-    def test_pure_squeezed_state_photon_cost(self):
-        r = R_PAPER
-        nbar = nbar_from_variances(math.exp(-2 * r), math.exp(2 * r))
-        assert nbar == pytest.approx(math.sinh(r) ** 2, rel=1e-12)
-
-    def test_rejects_negative_result(self):
-        with pytest.raises(ValueError):
-            nbar_from_variances(0.5, 0.5)
 
 
 class TestCoherent:

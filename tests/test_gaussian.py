@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from squeezelab.gaussian import (
     LossModel,
-    Quadrature,
     QuadratureState,
     apply_loss,
     apply_phase_jitter,
@@ -20,7 +19,7 @@ ETA_TOTAL = 0.95 * 0.96**2 * 0.94  # composite detection efficiency, ~0.823
 
 
 def phase_state(r):
-    return QuadratureState(mean_amplitude=1.0, squeeze_r=r, squeezed_quadrature=Quadrature.PHASE)
+    return QuadratureState(mean_amplitude=1.0, squeeze_r=r)
 
 
 class TestVarianceAt:
@@ -41,11 +40,6 @@ class TestVarianceAt:
         state = phase_state(0.3776)
         assert variance_at(state, 0.0) == pytest.approx(1.0 / 0.47, abs=2e-3)
         assert variance_at(state, 0.0) == pytest.approx(2.1277, abs=1e-3)
-
-    def test_amplitude_convention_swaps_axes(self):
-        state = QuadratureState(1.0, 0.5, Quadrature.AMPLITUDE)
-        assert variance_at(state, 0.0) == pytest.approx(math.exp(-1.0))
-        assert variance_at(state, math.pi / 2) == pytest.approx(math.exp(1.0))
 
     def test_rejects_negative_r(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import pkgutil
 import runpy
 import subprocess
 import sys
@@ -121,7 +122,7 @@ class TestConfigFormat:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         scn = scenario.from_flat({"trace.seed": 5})
-        scenario.save(scn, path)
+        path.write_text(scenario.serialize(scn))
         assert scenario.load(path) == scn
 
     @given(st.dictionaries(st.sampled_from(KEYS), VALUE_TEXT))
@@ -173,6 +174,8 @@ CONFIG_ERRORS = [
     (["capacity", "--set", "capacity.nbar_min=1", "--set", "capacity.nbar_max=1.0000000000000002",
       "--set", "capacity.points=50"], "capacity.nbar_max"),  # geomspace repeats a value
     (["cavity", "--cavity.mirror_R1", "0.99"], "--cavity.mirror_R1"),
+    (["spectrum", "--set", "chain.phase_jitter_rms=2"], "chain.phase_jitter_rms"),  # above pi/2
+    (["cavity", "--set", "cavity.shg_efficiency=1e-320"], "cavity.shg_efficiency"),  # threshold inf
 ]
 
 
@@ -204,6 +207,12 @@ def test_module_entry_point_runs_without_warning(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_all_lists_every_submodule():
+    names = {m.name for m in pkgutil.iter_modules(squeezelab.__path__)}
+    assert sorted(squeezelab.__all__) == sorted(names)
+    exec("from squeezelab import *", {})  # a stale entry raises here
 
 
 def test_cli_import_loads_no_scipy():
@@ -282,10 +291,19 @@ class TestCli:
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "scn.cfg"
-        scenario.save(scenario.from_flat({"trace.seed": 11}), cfg)
+        cfg.write_text(scenario.serialize(scenario.from_flat({"trace.seed": 11})))
         assert run_cli("cavity", "--config", str(cfg), "--out", str(tmp_path)) == 0
         meta = next(tmp_path.glob("cavity-*.meta")).read_text()
         assert "trace.seed = 11" in meta
+
+    def test_undecodable_config_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"trace.seed = 1\xff\n")
+        out = tmp_path / "out"
+        assert run_cli("cavity", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(cfg) in err
+        assert not out.exists()
 
     def test_output_reproducible_from_own_metadata(self, tmp_path):
         out_a = tmp_path / "a"
@@ -354,7 +372,7 @@ class TestOptionPosition:
 
     def test_config_before_subcommand(self, tmp_path):
         cfg = tmp_path / "scn.cfg"
-        scenario.save(scenario.from_flat({"trace.seed": 11}), cfg)
+        cfg.write_text(scenario.serialize(scenario.from_flat({"trace.seed": 11})))
         assert run_cli("--config", str(cfg), "cavity", "--out", str(tmp_path)) == 0
         assert "trace.seed = 11" in next(tmp_path.glob("cavity-*.meta")).read_text()
 

@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from squeezelab import scenario
 from squeezelab.spectrum import TraceLabel, default_frequency_grid, detected_spectrum, flat_trace
 from squeezelab.tracesim import (
     PhotocurrentTrace,
+    ToneVisibility,
     TraceConfig,
     _ratio_to_trace,
     _welch_ratio,
     averaged_psd,
+    classify_tone,
     estimate_psd,
     synthesize_trace,
     tone_amplitude_for_db,
@@ -135,6 +138,17 @@ class TestEstimate:
         assert np.max(psd.values_db) == pytest.approx(
             10 * np.log10(10.0 + 1.0), abs=0.3
         )
+
+    @pytest.mark.parametrize("vbw, displayed_db", [(10e3, 10.0 - 10 * np.log10(2.0)), (None, 10.0)])
+    def test_displayed_tone_level(self, vbw, displayed_db):
+        # a bin-centred pure tone: the preset's 3-bin VBW mean spreads the Hann
+        # main lobe (1/4, 1, 1/4) over 3 bins, so its peak reads 3.01 dB low
+        cfg = replace(scenario.paper_preset().trace, vbw=vbw)
+        t = np.arange(cfg.samples_per_sweep) / cfg.sample_rate
+        tone = tone_amplitude_for_db(10.0, cfg) * np.cos(2 * np.pi * 4.5e6 * t)
+        psd = estimate_psd(PhotocurrentTrace(tone, cfg.sample_rate), cfg)
+        assert psd.frequencies[np.argmax(psd.values_db)] == 4.5e6
+        assert np.max(psd.values_db) == pytest.approx(displayed_db, abs=1e-9)
 
     def test_tone_changes_psd_only_locally(self):
         cfg = cfg_with(sweeps=2)
@@ -267,3 +281,14 @@ class TestElectronicFloor:
         var_off = np.var(synthesize_trace(cfg_off).samples)
         var_on = np.var(synthesize_trace(cfg_on).samples)
         assert var_on == pytest.approx(var_off + 10 ** (-0.6), rel=0.05)
+
+
+class TestClassifyTone:
+    def test_hidden(self):
+        assert classify_tone(-5.0, -3.2) is ToneVisibility.HIDDEN
+
+    def test_revealed(self):
+        assert classify_tone(-1.0, -3.2) is ToneVisibility.REVEALED_BY_SQUEEZING
+
+    def test_classical(self):
+        assert classify_tone(1.0, -3.2) is ToneVisibility.VISIBLE_CLASSICALLY
