@@ -1,100 +1,5 @@
-import math
-
-import pytest
-from hypothesis import given, strategies as st
-
-from squeezelab.eom import (
-    EomParams,
-    ToneVisibility,
-    classify_tone,
-    phase_shift_amplitude,
-    tone_power_rel_shot,
-)
-from squeezelab.homodyne import HomodyneConfig
-
-RBW = 30e3
-
-
-def params(**overrides):
-    kwargs = dict(field_E_Z=1000.0, crystal_length_l=0.02)
-    kwargs.update(overrides)
-    return EomParams(**kwargs)
-
-
-def homodyne_cfg():
-    return HomodyneConfig(opa_power=0.16e-3, lo_power=4.2e-3)
-
-
-class TestPhaseShiftAmplitude:
-    def test_zero_field(self):
-        assert phase_shift_amplitude(params(field_E_Z=0.0)) == 0.0
-
-    def test_hand_evaluation(self):
-        # (1.90^3 * 36.7e-12 + 1.81^3 * 15.7e-12) * 1000 * 0.02 * pi / 1.064e-6
-        assert phase_shift_amplitude(params()) == pytest.approx(0.0204, abs=1e-4)
-
-    @given(scale=st.floats(0.1, 10.0))
-    def test_linear_in_field_and_length(self, scale):
-        base = phase_shift_amplitude(params())
-        assert phase_shift_amplitude(params(field_E_Z=1000.0 * scale)) == pytest.approx(
-            base * scale, rel=1e-12
-        )
-        assert phase_shift_amplitude(
-            params(crystal_length_l=0.02 * scale)
-        ) == pytest.approx(base * scale, rel=1e-12)
-
-    @given(scale=st.floats(0.5, 2.0))
-    def test_inverse_linear_in_wavelength(self, scale):
-        base = phase_shift_amplitude(params())
-        scaled = phase_shift_amplitude(params(wavelength_lambda=1.064e-6 * scale))
-        assert scaled == pytest.approx(base / scale, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            params(n_Z=0.9)
-        with pytest.raises(ValueError):
-            params(r33=-1e-12)
-        with pytest.raises(ValueError):
-            params(crystal_length_l=0.0)
-
-
-class TestTonePower:
-    def test_zero_modulation_is_minus_infinity(self):
-        assert tone_power_rel_shot(0.0, homodyne_cfg(), RBW) == -math.inf
-
-    def test_doubling_depth_adds_6db(self):
-        cfg = homodyne_cfg()
-        base = tone_power_rel_shot(1e-6, cfg, RBW)
-        doubled = tone_power_rel_shot(2e-6, cfg, RBW)
-        assert doubled - base == pytest.approx(20 * math.log10(2), abs=1e-9)
-
-    def test_warns_outside_small_modulation_regime(self):
-        with pytest.warns(UserWarning):
-            tone_power_rel_shot(0.2, homodyne_cfg(), RBW)
-
-    def test_rejects_bad_rbw(self):
-        with pytest.raises(ValueError):
-            tone_power_rel_shot(1e-6, homodyne_cfg(), 0.0)
-
-    def test_threshold_classification_round_trip(self):
-        # choose depths that land the tone 1 dB above a -3.2 dB squeezed floor
-        # but below shot noise, then classify; inverts the power formula
-        cfg = homodyne_cfg()
-
-        def depth_for(db):
-            alpha2 = cfg.opa_power / (6.62607015e-34 * 299792458.0 / 1.064e-6)
-            return math.sqrt(10 ** (db / 10) * RBW / (2 * alpha2))
-
-        depth = depth_for(-2.2)
-        db = tone_power_rel_shot(depth, cfg, RBW)
-        assert db == pytest.approx(-2.2, abs=1e-9)
-        assert classify_tone(db, -3.2) is ToneVisibility.REVEALED_BY_SQUEEZING
-
-    @given(depth=st.floats(1e-8, 1e-3), r_db=st.floats(-10.0, -0.1))
-    def test_tone_power_independent_of_squeezing(self, depth, r_db):
-        # the floor moves with squeezing, the tone does not
-        db = tone_power_rel_shot(depth, homodyne_cfg(), RBW)
-        assert db == tone_power_rel_shot(depth, homodyne_cfg(), RBW)
+"""Visibility of the EOM modulation tone against the shot-noise and squeezed floors."""
+from squeezelab.tracesim import ToneVisibility, classify_tone
 
 
 class TestClassifyTone:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -17,13 +19,32 @@ def paper_config():
     return HomodyneConfig(opa_power=0.16e-3, lo_power=4.2e-3)
 
 
-class TestConfig:
-    def test_paper_power_ratio(self):
-        assert paper_config().power_ratio == pytest.approx(POWER_RATIO, abs=2e-4)
+class TestDifferenceStats:
+    """Difference-photocurrent noise of the bright beam, in units of the LO shot noise."""
+
+    def test_paper_squeezed_variance(self):
+        cfg = paper_config()
+        assert cfg.power_ratio == pytest.approx(POWER_RATIO, abs=2e-4)
+        ratio = blocked_shot_noise_ratio(math.exp(-2 * 0.479), cfg.power_ratio)
+        assert ratio == pytest.approx(cfg.power_ratio + math.exp(-2 * 0.479), rel=1e-12)
+        assert ratio_to_db(ratio) == pytest.approx(-3.75, abs=0.01)
+
+    def test_coherent_beams_give_both_shot_noises(self):
+        cfg = paper_config()
+        var = blocked_shot_noise_ratio(1.0, cfg.power_ratio) * cfg.lo_power
+        assert var == pytest.approx(cfg.opa_power + cfg.lo_power, rel=1e-12)
 
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError):
             HomodyneConfig(opa_power=-1e-3, lo_power=4.2e-3)
+
+    def test_blocked_beam_consistency(self):
+        # coherent bright beam = blocked beam plus the alpha^2 offset, exactly
+        cfg = paper_config()
+        var_bright = blocked_shot_noise_ratio(1.0, cfg.power_ratio) * cfg.lo_power
+        blocked = HomodyneConfig(opa_power=0.0, lo_power=cfg.lo_power)
+        var_blocked = blocked_shot_noise_ratio(1.0, blocked.power_ratio) * blocked.lo_power
+        assert var_bright == pytest.approx(var_blocked + cfg.opa_power, rel=1e-12)
 
 
 class TestBlockedCorrection:

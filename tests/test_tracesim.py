@@ -8,12 +8,10 @@ from squeezelab import scenario
 from squeezelab.spectrum import TraceLabel, default_frequency_grid, detected_spectrum, flat_trace
 from squeezelab.tracesim import (
     PhotocurrentTrace,
-    ToneVisibility,
     TraceConfig,
     _ratio_to_trace,
     _welch_ratio,
     averaged_psd,
-    classify_tone,
     estimate_psd,
     synthesize_trace,
     tone_amplitude_for_db,
@@ -281,14 +279,3 @@ class TestElectronicFloor:
         var_off = np.var(synthesize_trace(cfg_off).samples)
         var_on = np.var(synthesize_trace(cfg_on).samples)
         assert var_on == pytest.approx(var_off + 10 ** (-0.6), rel=0.05)
-
-
-class TestClassifyTone:
-    def test_hidden(self):
-        assert classify_tone(-5.0, -3.2) is ToneVisibility.HIDDEN
-
-    def test_revealed(self):
-        assert classify_tone(-1.0, -3.2) is ToneVisibility.REVEALED_BY_SQUEEZING
-
-    def test_classical(self):
-        assert classify_tone(1.0, -3.2) is ToneVisibility.VISIBLE_CLASSICALLY
