@@ -87,19 +87,20 @@ def run_spectrum(scn: Scenario, out_dir: Path, args) -> Path:
 def run_correct(scn: Scenario, out_dir: Path, args) -> Path:
     observed_ratio = gaussian.db_to_ratio(args.observed_db)
     power_ratio = scn.homodyne.power_ratio
-    if args.mode == "blocked":
+    mode = args.mode or "blocked"
+    if mode == "blocked":
         corrected = homodyne.correct_blocked_shot_noise(observed_ratio, power_ratio)
     else:
         corrected = homodyne.correct_equal_power_shot_noise(observed_ratio, power_ratio)
     corrected_db = float(gaussian.ratio_to_db(corrected))
     print(f"corrected squeezing: {corrected_db:.2f} dB")
     csv_path = write_metadata(
-        out_dir, scn, "correct", {"observed_db": args.observed_db, "mode": args.mode}
+        out_dir, scn, "correct", {"observed_db": args.observed_db, "mode": mode}
     )
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["observed_db", "power_ratio", "mode", "corrected_db"])
-        writer.writerow([args.observed_db, power_ratio, args.mode, repr(corrected_db)])
+        writer.writerow([args.observed_db, power_ratio, mode, repr(corrected_db)])
     return csv_path
 
 
@@ -150,28 +151,6 @@ _RUNNERS = {
 }
 
 
-def _common_options(after_subcommand: bool) -> argparse.ArgumentParser:
-    """--config, --out and --set, accepted before and after the subcommand.
-
-    After the subcommand they default to SUPPRESS, so an option given only
-    before it is not overwritten; --set after it is collected separately and
-    applied after the --set given before it.
-    """
-    def default(value):
-        return argparse.SUPPRESS if after_subcommand else value
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=default(None),
-                        help="scenario file (default: built-in preset)")
-    common.add_argument("--out", type=Path, default=default(Path(".")), help="output directory")
-    common.add_argument(
-        "--set", action="append", default=default([]), metavar="KEY=VALUE",
-        dest="set_after" if after_subcommand else "set",
-        help="override a scenario key, e.g. --set trace.seed=7",
-    )
-    return common
-
-
 def finite_db(text: str) -> float:
     """A finite dB value whose power ratio is finite too (an argparse type)."""
     value = scenario.finite_float(text)
@@ -183,16 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="squeezelab",
         description="Bright phase-squeezed beam simulation and analysis toolkit",
-        parents=[_common_options(after_subcommand=False)],
     )
-    parser.set_defaults(set_after=[])
-    common = _common_options(after_subcommand=True)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("cavity", "spectrum", "interfere", "trace", "capacity"):
-        sub.add_parser(name, parents=[common])
-    p_correct = sub.add_parser("correct", parents=[common])
-    p_correct.add_argument("--observed-db", type=finite_db, required=True)
-    p_correct.add_argument("--mode", choices=["blocked", "equal-power"], default="blocked")
+    parser.add_argument("subcommand", choices=_RUNNERS)
+    parser.add_argument("--config", type=Path, help="scenario file (default: built-in preset)")
+    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a scenario key, e.g. --set trace.seed=7")
+    parser.add_argument("--observed-db", type=finite_db, help="correct: observed squeezing in dB")
+    parser.add_argument("--mode", choices=["blocked", "equal-power"],
+                        help="correct: shot-noise reference (default: blocked)")
     return parser
 
 
@@ -200,14 +178,19 @@ def resolve_scenario(args) -> Scenario:
     """Preset or --config scenario with the --set overrides applied, in order."""
     scn = scenario.load(args.config) if args.config is not None else scenario.paper_preset()
     flat = scenario.to_flat(scn)
-    for pair in args.set + args.set_after:
+    for pair in args.set:
         key, _, value = pair.partition("=")  # no `=`: the empty value is refused
         flat[key.strip()] = value
     return scenario.from_flat(flat)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    correct = args.subcommand == "correct"
+    if correct != (args.observed_db is not None) or (args.mode is not None and not correct):
+        parser.error("correct requires --observed-db" if correct
+                     else "--observed-db and --mode go only with the correct subcommand")
     try:
         scn = resolve_scenario(args)
         args.out.mkdir(parents=True, exist_ok=True)
