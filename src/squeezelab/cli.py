@@ -9,6 +9,9 @@ Subcommands:
   trace      PSD of a synthesized photocurrent trace against the analytic target
   capacity   channel-capacity curves versus mean photon number
 
+Each option may come before or after the subcommand; --set overrides apply
+in command-line order; --observed-db (required) and --mode go only with correct.
+
 Every output CSV gets a sidecar `.meta` file with the fully resolved
 scenario, the seed and the RNG algorithm, so any result is reproducible
 from its own metadata.  Exit codes: 0 success, 1 runtime numeric failure,
@@ -202,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         _RUNNERS[args.subcommand](scn, args.out, args)
-    except (ScenarioError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         # value errors after validation are runtime numeric failures
         print(f"error: {exc}", file=sys.stderr)
         return 1

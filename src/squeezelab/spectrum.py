@@ -157,7 +157,9 @@ def flat_trace(level_db: float, frequencies, label=TraceLabel.SHOT_NOISE) -> Spe
 def ideal_spectrum(op: OpaOperatingPoint, omega, quadrature: TraceLabel):
     """Lossless OPA output spectrum at sideband frequency omega (Hz, scalar or array)."""
     x = op.pump_ratio_x
-    w2 = (np.asarray(omega, dtype=float) / op.cavity_hwhm) ** 2
+    # a tiny cavity_hwhm overflows w2 to inf, which gives the exact limit S = 1
+    with np.errstate(over="ignore"):
+        w2 = (np.asarray(omega, dtype=float) / op.cavity_hwhm) ** 2
     if quadrature is TraceLabel.SQUEEZED_QUADRATURE:
         return 1.0 - 4.0 * x / ((1.0 + x) ** 2 + w2)
     if quadrature is TraceLabel.ANTISQUEEZED_QUADRATURE:

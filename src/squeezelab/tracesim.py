@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -285,9 +286,14 @@ def averaged_psd(
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(min(cpus, cfg.sweeps)) as ex:
-        periodograms = ex.map(sweep, range(cfg.sweeps))
-        freqs, acc = next(periodograms)
-        for _, ratio in periodograms:
+    threads = min(cpus, cfg.sweeps)
+    ahead = 2 * threads  # sweeps in flight; Executor.map would queue all of them at once
+    acc = 0.0
+    with ThreadPoolExecutor(threads) as ex:
+        pending = deque(ex.submit(sweep, k) for k in range(min(ahead, cfg.sweeps)))
+        for k in range(ahead, cfg.sweeps + ahead):
+            freqs, ratio = pending.popleft().result()
             acc += ratio
+            if k < cfg.sweeps:
+                pending.append(ex.submit(sweep, k))
     return _ratio_to_trace(freqs, acc / cfg.sweeps, cfg, label)

@@ -176,6 +176,9 @@ CONFIG_ERRORS = [
     (["cavity", "--cavity.mirror_R1", "0.99"], "--cavity.mirror_R1"),
     (["spectrum", "--set", "chain.phase_jitter_rms=2"], "chain.phase_jitter_rms"),  # above pi/2
     (["cavity", "--set", "cavity.shg_efficiency=1e-320"], "cavity.shg_efficiency"),  # threshold inf
+    (["cavity", "--observed-db", "-3"], "--observed-db"),  # flags that only correct takes
+    (["spectrum", "--mode", "blocked"], "--mode"),
+    (["correct"], "--observed-db"),
 ]
 
 
@@ -305,6 +308,21 @@ class TestCli:
         assert "configuration error" in err and str(cfg) in err
         assert not out.exists()
 
+    def test_failed_output_write_exits_1(self, tmp_path, capsys):
+        assert run_cli("cavity", "--out", str(tmp_path / "a")) == 0
+        meta = next((tmp_path / "a").glob("cavity-*.meta")).name
+        (tmp_path / "b" / meta).mkdir(parents=True)  # the .meta cannot be written
+        assert run_cli("cavity", "--out", str(tmp_path / "b")) == 1
+        assert meta in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_linewidth_gives_shot_noise_without_warning(self, tmp_path):
+        # fwhm ~ 1e-300 Hz: (omega / hwhm)**2 overflows to inf, the exact S = 1 limit
+        assert run_cli("spectrum", "--set", "cavity.crystal_index=1e308", "--out", str(tmp_path)) == 0
+        traces = {t.label: t for t in read_traces_csv(next(tmp_path.glob("spectrum-*.csv")))}
+        for label in (TraceLabel.SQUEEZED_QUADRATURE, TraceLabel.ANTISQUEEZED_QUADRATURE):
+            assert np.all(traces[label].values_db == 0.0)
+
     def test_output_reproducible_from_own_metadata(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -369,6 +387,14 @@ class TestOptionPosition:
         assert code == 0
         meta = next(tmp_path.glob("cavity-*.meta")).read_text()
         assert "trace.seed = 8" in meta and "trace.sweeps = 3" in meta
+
+    def test_correct_flags_before_subcommand(self, tmp_path):
+        after, before = tmp_path / "after", tmp_path / "before"
+        flags = ["--observed-db", "-3.75", "--mode", "equal-power"]
+        assert run_cli("correct", *flags, "--out", str(after)) == 0
+        assert run_cli(*flags, "--out", str(before), "correct") == 0
+        csv_after = next(after.glob("correct-*.csv"))
+        assert csv_after.read_bytes() == (before / csv_after.name).read_bytes()
 
     def test_config_before_subcommand(self, tmp_path):
         cfg = tmp_path / "scn.cfg"

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -265,6 +266,19 @@ class TestDeterminism:
         serial = _ratio_to_trace(freqs, acc / cfg.sweeps, cfg, TraceLabel.SQUEEZED_QUADRATURE)
         assert np.array_equal(pooled.frequencies, serial.frequencies)
         assert np.array_equal(pooled.values_db, serial.values_db)
+
+    def test_memory_does_not_grow_with_sweeps(self):
+        # 500-sample sweeps: what grows with the sweep count is the queue of pending sweeps
+        def peak(sweeps):
+            tracemalloc.start()
+            try:
+                averaged_psd(cfg_with(duration=5e-6, rbw=300e3, vbw=100e3, sweeps=sweeps))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20)  # warm-up: caches filled on first use are not per-sweep memory
+        assert peak(2000) - peak(200) < 1e6
 
     def test_seed_changes_trace(self):
         a = synthesize_trace(cfg_with(seed=1))
