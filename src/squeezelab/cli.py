@@ -206,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _RUNNERS[args.subcommand](scn, args.out, args)
     except (ValueError, OSError) as exc:
-        # value errors after validation are runtime numeric failures
+        # after validation, a value error is a numeric failure and an OS error a failed write
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
