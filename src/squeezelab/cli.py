@@ -12,10 +12,10 @@ Subcommands:
 Each option may come before or after the subcommand; --set overrides apply
 in command-line order; --observed-db (required) and --mode go only with correct.
 
-Every output CSV gets a sidecar `.meta` file with the fully resolved
-scenario, the seed and the RNG algorithm, so any result is reproducible
-from its own metadata.  Exit codes: 0 success, 1 runtime numeric failure,
-2 configuration/validation failure.
+A runner only computes, returning (CSV writer, data, report, `.meta` extras);
+write_outputs writes the CSV, then a `.meta` sidecar with the resolved scenario,
+seed and RNG algorithm, so any result is reproducible from its own metadata.
+Exit codes: 0 success, 1 runtime numeric or write failure, 2 configuration error.
 """
 from __future__ import annotations
 
@@ -32,25 +32,43 @@ from .scenario import PRESET_ASSUMPTIONS, Scenario, ScenarioError
 from .spectrum import TraceLabel
 
 
-def write_metadata(out_dir: Path, scn: Scenario, subcommand: str, extra: dict | None = None) -> Path:
-    """Write the `.meta` sidecar and return the path of its CSV.
+def write_metadata(path: Path, record: str) -> None:
+    """Write the `.meta` sidecar: the run's record (its own function, so a tracer can time it)."""
+    path.write_text(record)
+
+
+def write_table_csv(path: Path, rows) -> None:
+    """Write `rows`, a header row first, as one CSV table."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def write_outputs(out_dir: Path, scn: Scenario, subcommand: str, write_csv, data, extra) -> Path:
+    """Write the run's CSV, then its `.meta` sidecar; return the CSV path.
 
     Both files are named by a hash of the whole record, so runs that differ
     in any recorded input (scenario or subcommand option) never share a name,
-    and equal runs always do.
+    and equal runs always do.  If a write fails, the files this run created
+    are removed, so neither file is left without the other.
     """
     lines = [f"subcommand = {subcommand}", f"rng.algorithm = {tracesim.RNG_ALGORITHM}"]
-    if extra:
-        lines += [f"{k} = {v}" for k, v in extra.items()]
+    lines += [f"{k} = {v}" for k, v in extra.items()]
     lines.append(f"assumptions = {','.join(PRESET_ASSUMPTIONS)}")
-    lines.append(scenario.serialize(scn).rstrip("\n"))
-    record = "\n".join(lines) + "\n"
+    record = "\n".join(lines) + "\n" + scenario.serialize(scn)
     stem = f"{subcommand}-{hashlib.sha256(record.encode()).hexdigest()[:12]}"
-    (out_dir / f"{stem}.meta").write_text(record)
-    return out_dir / f"{stem}.csv"
+    csv_path, meta_path = out_dir / f"{stem}.csv", out_dir / f"{stem}.meta"
+    created = [path for path in (csv_path, meta_path) if not path.exists()]
+    try:
+        write_csv(csv_path, data)
+        write_metadata(meta_path, record)
+    except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
+    return csv_path
 
 
-def run_cavity(scn: Scenario, out_dir: Path, args) -> Path:
+def run_cavity(scn: Scenario, args):
     c = scn.cavity
     rows = [
         ("free_spectral_range_hz", cavity_mod.free_spectral_range(c)),
@@ -59,17 +77,12 @@ def run_cavity(scn: Scenario, out_dir: Path, args) -> Path:
         ("threshold_power_w", cavity_mod.threshold_power(c)),
         ("escape_efficiency", cavity_mod.escape_efficiency(c)),
     ]
-    csv_path = write_metadata(out_dir, scn, "cavity")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "value"])
-        for name, value in rows:
-            writer.writerow([name, repr(value)])
-            print(f"{name} = {value:.6g}")
-    return csv_path
+    table = [("quantity", "value")] + [(name, repr(value)) for name, value in rows]
+    report = "\n".join(f"{name} = {value:.6g}" for name, value in rows)
+    return write_table_csv, table, report, {}
 
 
-def run_spectrum(scn: Scenario, out_dir: Path, args) -> Path:
+def run_spectrum(scn: Scenario, args):
     op = scn.operating_point()
     grid = spectrum.default_frequency_grid()
     traces = [
@@ -81,33 +94,24 @@ def run_spectrum(scn: Scenario, out_dir: Path, args) -> Path:
         traces.append(
             spectrum.flat_trace(scn.trace.electronic_floor_db, grid, TraceLabel.ELECTRONIC_NOISE)
         )
-    csv_path = write_metadata(out_dir, scn, "spectrum")
-    spectrum.write_traces_csv(csv_path, traces)
-    print(f"wrote {len(traces)} traces, {grid.size} points each -> {csv_path}")
-    return csv_path
+    report = f"wrote {len(traces)} traces, {grid.size} points each"
+    return spectrum.write_traces_csv, traces, report, {}
 
 
-def run_correct(scn: Scenario, out_dir: Path, args) -> Path:
+def run_correct(scn: Scenario, args):
     observed_ratio = gaussian.db_to_ratio(args.observed_db)
     power_ratio = scn.homodyne.power_ratio
     mode = args.mode or "blocked"
-    if mode == "blocked":
-        corrected = homodyne.correct_blocked_shot_noise(observed_ratio, power_ratio)
-    else:
-        corrected = homodyne.correct_equal_power_shot_noise(observed_ratio, power_ratio)
-    corrected_db = float(gaussian.ratio_to_db(corrected))
-    print(f"corrected squeezing: {corrected_db:.2f} dB")
-    csv_path = write_metadata(
-        out_dir, scn, "correct", {"observed_db": args.observed_db, "mode": mode}
-    )
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["observed_db", "power_ratio", "mode", "corrected_db"])
-        writer.writerow([args.observed_db, power_ratio, mode, repr(corrected_db)])
-    return csv_path
+    correct = (homodyne.correct_blocked_shot_noise if mode == "blocked"
+               else homodyne.correct_equal_power_shot_noise)
+    corrected_db = float(gaussian.ratio_to_db(correct(observed_ratio, power_ratio)))
+    table = [("observed_db", "power_ratio", "mode", "corrected_db"),
+             (args.observed_db, power_ratio, mode, repr(corrected_db))]
+    report = f"corrected squeezing: {corrected_db:.2f} dB"
+    return write_table_csv, table, report, {"observed_db": args.observed_db, "mode": mode}
 
 
-def run_interfere(scn: Scenario, out_dir: Path, args) -> Path:
+def run_interfere(scn: Scenario, args):
     cfg = scn.trace
     icfg = scn.interfere
     # ratio_at holds the one point's floor below band_max and is shot noise above it
@@ -117,31 +121,24 @@ def run_interfere(scn: Scenario, out_dir: Path, args) -> Path:
     tone = (icfg.tone_frequency, tracesim.tone_amplitude_for_db(icfg.tone_db_rel_shot, cfg))
     coherent_psd = tracesim.averaged_psd(cfg, None, tone, TraceLabel.SHOT_NOISE)
     squeezed_psd = tracesim.averaged_psd(cfg, squeezed_target, tone, TraceLabel.SQUEEZED_QUADRATURE)
-    csv_path = write_metadata(out_dir, scn, "interfere")
-    spectrum.write_traces_csv(csv_path, [coherent_psd, squeezed_psd])
-    print(f"wrote coherent and squeezed reference PSDs -> {csv_path}")
-    return csv_path
+    report = "wrote coherent and squeezed reference PSDs"
+    return spectrum.write_traces_csv, [coherent_psd, squeezed_psd], report, {}
 
 
-def run_trace(scn: Scenario, out_dir: Path, args) -> Path:
+def run_trace(scn: Scenario, args):
     op = scn.operating_point()
     grid = spectrum.default_frequency_grid()
     target = spectrum.detected_spectrum(op, scn.chain, grid, TraceLabel.SQUEEZED_QUADRATURE)
     psd = tracesim.averaged_psd(scn.trace, target, None, TraceLabel.SQUEEZED_QUADRATURE)
-    csv_path = write_metadata(out_dir, scn, "trace")
-    spectrum.write_traces_csv(csv_path, [psd, target])
-    print(f"wrote estimated and analytic spectra -> {csv_path}")
-    return csv_path
+    return spectrum.write_traces_csv, [psd, target], "wrote estimated and analytic spectra", {}
 
 
-def run_capacity(scn: Scenario, out_dir: Path, args) -> Path:
+def run_capacity(scn: Scenario, args):
     cap = scn.capacity
     grid = capacity_mod.default_nbar_grid(cap.nbar_min, cap.nbar_max, cap.points)
     curves = capacity_mod.curve_suite(grid, cap.squeeze_r)
-    csv_path = write_metadata(out_dir, scn, "capacity", {"squeeze_r": cap.squeeze_r})
-    capacity_mod.write_curves_csv(csv_path, curves)
-    print(f"wrote {len(curves)} capacity curves -> {csv_path}")
-    return csv_path
+    report = f"wrote {len(curves)} capacity curves"
+    return capacity_mod.write_curves_csv, curves, report, {"squeeze_r": cap.squeeze_r}
 
 
 _RUNNERS = {
@@ -204,11 +201,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {args.config}: {exc}", file=sys.stderr)
         return 2
     try:
-        _RUNNERS[args.subcommand](scn, args.out, args)
+        write_csv, data, report, extra = _RUNNERS[args.subcommand](scn, args)
+        csv_path = write_outputs(args.out, scn, args.subcommand, write_csv, data, extra)
     except (ValueError, OSError) as exc:
         # after validation, a value error is a numeric failure and an OS error a failed write
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(f"{report} -> {csv_path}")
     return 0
 
 

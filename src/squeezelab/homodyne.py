@@ -9,6 +9,7 @@ substituted for it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -22,6 +23,8 @@ class HomodyneConfig:
             raise ValueError(f"opa_power must be >= 0, got {self.opa_power}")
         if self.lo_power <= 0.0:
             raise ValueError(f"lo_power must be > 0, got {self.lo_power}")
+        if not math.isfinite(self.power_ratio):
+            raise ValueError(f"opa_power / homodyne.lo_power must be finite, got {self.power_ratio}")
 
     @property
     def power_ratio(self) -> float:

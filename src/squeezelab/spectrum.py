@@ -75,7 +75,11 @@ class DetectionChain:
         # the antisqueezed quadrature sits pi/2 - sigma from the squeezed axis
         if not (0.0 <= self.phase_jitter_rms <= math.pi / 2):
             raise ValueError(f"phase_jitter_rms must be in [0, pi/2], got {self.phase_jitter_rms}")
-        self.detection_efficiency  # validates the three detection factors
+        if not self.detection_efficiency > 0.0:  # also validates the three factors
+            raise ValueError(
+                "quantum_efficiency, chain.homodyne_contrast and chain.propagation_efficiency "
+                "must give a detection_efficiency > 0; QE * contrast^2 * propagation underflows"
+            )
 
     @property
     def detection_efficiency(self) -> float:

@@ -179,6 +179,17 @@ CONFIG_ERRORS = [
     (["cavity", "--observed-db", "-3"], "--observed-db"),  # flags that only correct takes
     (["spectrum", "--mode", "blocked"], "--mode"),
     (["correct"], "--observed-db"),
+    (["cavity", "--set", "cavity.mirror_R1=1e-320", "--set", "cavity.mirror_R2=1e-320"],
+     "cavity.mirror_R2"),  # R1*R2 underflows: finesse 0
+    (["spectrum", "--set", "cavity.mirror_R1=1e-320", "--set", "cavity.mirror_R2=1e-320"],
+     "cavity.mirror_R1"),
+    (["cavity", "--set", "cavity.geometric_length=1e308"], "cavity.geometric_length"),  # FSR 0
+    (["trace", "--set", "cavity.geometric_length=1e308"], "cavity.geometric_length"),
+    (["cavity", "--set", "cavity.crystal_length=0", "--set", "cavity.geometric_length=5e-324"],
+     "cavity.geometric_length"),  # FSR inf
+    (["spectrum", "--set", "chain.homodyne_contrast=1e-200"], "chain.homodyne_contrast"),  # eta 0
+    (["correct", "--observed-db", "-3.75", "--set", "homodyne.lo_power=1e-320"],
+     "homodyne.lo_power"),  # power ratio inf
 ]
 
 
@@ -423,6 +434,52 @@ class TestCorrectOutputs:
         row = next(tmp_path.glob("correct-*.csv")).read_text().splitlines()[1].split(",")
         power_ratio = paper_preset().homodyne.power_ratio
         assert float(row[3]) == pytest.approx(10 * math.log10(10 ** -0.375 - power_ratio), abs=1e-12)
+
+
+# arguments that make each subcommand run; trace and interfere with one short sweep
+RUN_ARGS = {
+    "cavity": [],
+    "spectrum": [],
+    "correct": ["--observed-db", "-3.75"],
+    "interfere": ["--set", "trace.sweeps=1", "--set", "trace.duration=1e-4"],
+    "trace": ["--set", "trace.sweeps=1", "--set", "trace.duration=1e-4"],
+    "capacity": [],
+}
+
+
+class TestOutputWriter:
+    @pytest.mark.parametrize("subcommand", list(cli._RUNNERS))
+    def test_runner_writes_and_prints_nothing(self, tmp_path, monkeypatch, capsys, subcommand):
+        monkeypatch.chdir(tmp_path)
+        args = cli.build_parser().parse_args([subcommand, *RUN_ARGS[subcommand]])
+        cli._RUNNERS[subcommand](cli.resolve_scenario(args), args)
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("subcommand", list(cli._RUNNERS))
+    def test_run_leaves_one_csv_and_its_meta(self, tmp_path, capsys, subcommand):
+        assert run_cli(subcommand, *RUN_ARGS[subcommand], "--out", str(tmp_path)) == 0
+        csv_path = next(tmp_path.glob(f"{subcommand}-*.csv"))
+        assert sorted(tmp_path.iterdir()) == [csv_path, csv_path.with_suffix(".meta")]
+        assert capsys.readouterr().out.endswith(f" -> {csv_path}\n")
+
+    @pytest.mark.parametrize("blocked", [".csv", ".meta"])
+    def test_failed_write_leaves_neither_file(self, tmp_path, capsys, blocked):
+        assert run_cli("cavity", "--out", str(tmp_path / "a")) == 0
+        name = next((tmp_path / "a").glob("cavity-*.csv")).with_suffix(blocked).name
+        out = tmp_path / "b"
+        (out / name).mkdir(parents=True)  # this file cannot be written
+        assert run_cli("cavity", "--out", str(out)) == 1
+        assert name in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [name]
+
+    def test_failed_write_keeps_an_earlier_runs_csv(self, tmp_path):
+        assert run_cli("cavity", "--out", str(tmp_path)) == 0
+        meta = next(tmp_path.glob("cavity-*.meta"))
+        meta.unlink()
+        meta.mkdir()
+        assert run_cli("cavity", "--out", str(tmp_path)) == 1
+        assert meta.with_suffix(".csv").is_file()
 
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
