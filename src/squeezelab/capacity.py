@@ -7,7 +7,6 @@ a scalar or an array of mean photon numbers.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -15,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import _require
+from .spectrum import write_csv
 
 MAX_NBAR_POINTS = 100_000  # most grid points a capacity run may ask for; curve_suite keeps several
 
@@ -106,9 +106,5 @@ def curve_suite(nbar_grid, r: float) -> list[CapacityCurve]:
 
 
 def write_curves_csv(path, curves) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nbar", "capacity_bits", "bound_kind"])
-        for curve in curves:
-            for n, c in zip(curve.nbar_grid, curve.capacities):
-                writer.writerow([repr(float(n)), "" if math.isnan(c) else repr(float(c)), curve.bound_kind.value])
+    write_csv(path, ("nbar", "capacity_bits", "bound_kind"), [
+        (c.nbar_grid, c.capacities, np.broadcast_to(c.bound_kind.value, c.nbar_grid.shape)) for c in curves])

@@ -12,15 +12,15 @@ Subcommands:
 Each option may come before or after the subcommand; --set overrides apply
 in command-line order; --observed-db (required) and --mode go only with correct.
 
-A runner only computes, returning (CSV writer, data, report, `.meta` extras);
-write_outputs writes the CSV, then a `.meta` sidecar with the resolved scenario,
-seed and RNG algorithm, so any result is reproducible from its own metadata.
+A runner only computes, returning (CSV writer, its arguments after the path,
+report, `.meta` extras); write_outputs writes the CSV, then a `.meta` sidecar
+with the resolved scenario, seed and RNG algorithm, so any result is
+reproducible from its own metadata.
 Exit codes: 0 success, 1 runtime numeric or write failure, 2 configuration error.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import sys
 from pathlib import Path
@@ -37,13 +37,7 @@ def write_metadata(path: Path, record: str) -> None:
     path.write_text(record)
 
 
-def write_table_csv(path: Path, rows) -> None:
-    """Write `rows`, a header row first, as one CSV table."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-
-
-def write_outputs(out_dir: Path, scn: Scenario, subcommand: str, write_csv, data, extra) -> Path:
+def write_outputs(out_dir: Path, scn: Scenario, subcommand: str, write_csv, csv_args, extra) -> Path:
     """Write the run's CSV, then its `.meta` sidecar; return the CSV path.
 
     Both files are named by a hash of the whole record, so runs that differ
@@ -59,7 +53,7 @@ def write_outputs(out_dir: Path, scn: Scenario, subcommand: str, write_csv, data
     csv_path, meta_path = out_dir / f"{stem}.csv", out_dir / f"{stem}.meta"
     created = [path for path in (csv_path, meta_path) if not path.exists()]
     try:
-        write_csv(csv_path, data)
+        write_csv(csv_path, *csv_args)
         write_metadata(meta_path, record)
     except BaseException:
         for path in created:
@@ -77,9 +71,9 @@ def run_cavity(scn: Scenario, args):
         ("threshold_power_w", cavity_mod.threshold_power(c)),
         ("escape_efficiency", cavity_mod.escape_efficiency(c)),
     ]
-    table = [("quantity", "value")] + [(name, repr(value)) for name, value in rows]
     report = "\n".join(f"{name} = {value:.6g}" for name, value in rows)
-    return write_table_csv, table, report, {}
+    names, values = zip(*rows)
+    return spectrum.write_csv, (("quantity", "value"), [(names, values)]), report, {}
 
 
 def run_spectrum(scn: Scenario, args):
@@ -95,7 +89,7 @@ def run_spectrum(scn: Scenario, args):
             spectrum.flat_trace(scn.trace.electronic_floor_db, grid, TraceLabel.ELECTRONIC_NOISE)
         )
     report = f"wrote {len(traces)} traces, {grid.size} points each"
-    return spectrum.write_traces_csv, traces, report, {}
+    return spectrum.write_traces_csv, (traces,), report, {}
 
 
 def run_correct(scn: Scenario, args):
@@ -105,10 +99,10 @@ def run_correct(scn: Scenario, args):
     correct = (homodyne.correct_blocked_shot_noise if mode == "blocked"
                else homodyne.correct_equal_power_shot_noise)
     corrected_db = float(gaussian.ratio_to_db(correct(observed_ratio, power_ratio)))
-    table = [("observed_db", "power_ratio", "mode", "corrected_db"),
-             (args.observed_db, power_ratio, mode, repr(corrected_db))]
+    header = ("observed_db", "power_ratio", "mode", "corrected_db")
+    columns = ([args.observed_db], [power_ratio], [mode], [corrected_db])
     report = f"corrected squeezing: {corrected_db:.2f} dB"
-    return write_table_csv, table, report, {"observed_db": args.observed_db, "mode": mode}
+    return spectrum.write_csv, (header, [columns]), report, {"observed_db": args.observed_db, "mode": mode}
 
 
 def run_interfere(scn: Scenario, args):
@@ -122,7 +116,7 @@ def run_interfere(scn: Scenario, args):
     coherent_psd = tracesim.averaged_psd(cfg, None, tone, TraceLabel.SHOT_NOISE)
     squeezed_psd = tracesim.averaged_psd(cfg, squeezed_target, tone, TraceLabel.SQUEEZED_QUADRATURE)
     report = "wrote coherent and squeezed reference PSDs"
-    return spectrum.write_traces_csv, [coherent_psd, squeezed_psd], report, {}
+    return spectrum.write_traces_csv, ([coherent_psd, squeezed_psd],), report, {}
 
 
 def run_trace(scn: Scenario, args):
@@ -130,7 +124,7 @@ def run_trace(scn: Scenario, args):
     grid = spectrum.default_frequency_grid()
     target = spectrum.detected_spectrum(op, scn.chain, grid, TraceLabel.SQUEEZED_QUADRATURE)
     psd = tracesim.averaged_psd(scn.trace, target, None, TraceLabel.SQUEEZED_QUADRATURE)
-    return spectrum.write_traces_csv, [psd, target], "wrote estimated and analytic spectra", {}
+    return spectrum.write_traces_csv, ([psd, target],), "wrote estimated and analytic spectra", {}
 
 
 def run_capacity(scn: Scenario, args):
@@ -138,7 +132,7 @@ def run_capacity(scn: Scenario, args):
     grid = capacity_mod.default_nbar_grid(cap.nbar_min, cap.nbar_max, cap.points)
     curves = capacity_mod.curve_suite(grid, cap.squeeze_r)
     report = f"wrote {len(curves)} capacity curves"
-    return capacity_mod.write_curves_csv, curves, report, {"squeeze_r": cap.squeeze_r}
+    return capacity_mod.write_curves_csv, (curves,), report, {"squeeze_r": cap.squeeze_r}
 
 
 _RUNNERS = {
@@ -176,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_scenario(args) -> Scenario:
     """Preset or --config scenario with the --set overrides applied, in order."""
-    scn = scenario.load(args.config) if args.config is not None else scenario.paper_preset()
-    flat = scenario.to_flat(scn)
+    flat = scenario.to_flat(scenario.load(args.config)) if args.config is not None else {}
     for pair in args.set:
         key, _, value = pair.partition("=")  # no `=`: the empty value is refused
         flat[key.strip()] = value
@@ -201,8 +194,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {args.config}: {exc}", file=sys.stderr)
         return 2
     try:
-        write_csv, data, report, extra = _RUNNERS[args.subcommand](scn, args)
-        csv_path = write_outputs(args.out, scn, args.subcommand, write_csv, data, extra)
+        write_csv, csv_args, report, extra = _RUNNERS[args.subcommand](scn, args)
+        csv_path = write_outputs(args.out, scn, args.subcommand, write_csv, csv_args, extra)
     except (ValueError, OSError) as exc:
         # after validation, a value error is a numeric failure and an OS error a failed write
         print(f"error: {exc}", file=sys.stderr)

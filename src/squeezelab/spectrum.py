@@ -25,6 +25,7 @@ from . import gaussian
 DEFAULT_GRID_START = 1e6
 DEFAULT_GRID_STOP = 25e6
 DEFAULT_GRID_STEP = 30e3
+CSV_CHUNK_ROWS = 4096  # rows formatted per write, so memory does not grow with the row count
 
 
 class TraceLabel(enum.Enum):
@@ -123,14 +124,23 @@ class SpectrumTrace:
         return np.interp(np.asarray(freqs, float), self.frequencies, self.ratio(), right=1.0)
 
 
+def write_csv(path, header, blocks) -> None:
+    """The one CSV format: the header row, then each block of equal-length
+    columns as rows, floats as repr, NaN as an empty cell, "\\r\\n" line ends,
+    and no quoting, since each cell is a number or a fixed name."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+                cells = [[v if isinstance(v, str) else "" if math.isnan(v) else repr(v)
+                          for v in np.asarray(c[start:start + CSV_CHUNK_ROWS]).tolist()] for c in columns]
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
 def write_traces_csv(path, traces) -> None:
     """Write several traces into one CSV (shared schema, one row per point)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frequency_hz", "value_db", "label"])
-        for trace in traces:
-            for f, v in zip(trace.frequencies, trace.values_db):
-                writer.writerow([repr(float(f)), repr(float(v)), trace.label.value])
+    write_csv(path, ("frequency_hz", "value_db", "label"), [
+        (t.frequencies, t.values_db, np.broadcast_to(t.label.value, t.frequencies.shape)) for t in traces])
 
 
 def read_traces_csv(path) -> list[SpectrumTrace]:

@@ -57,8 +57,8 @@ class TraceConfig:
             raise ValueError("vbw must be > 0")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**128:  # the Philox key is 128 bits
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         # compared as floats first: the integer sample counts overflow on inf
         if self.sample_rate * self.duration > MAX_SAMPLES_PER_SWEEP:
             raise ValueError(f"duration gives more than {MAX_SAMPLES_PER_SWEEP} samples per sweep")

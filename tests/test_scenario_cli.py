@@ -153,6 +153,8 @@ CONFIG_ERRORS = [
     (["spectrum", "--set", "trace.electronic_floor_db=nan"], "trace.electronic_floor_db"),
     (["cavity", "--set", "trace.sweeps=2.5"], "trace.sweeps"),
     (["cavity", "--set", "trace.seed=-1"], "trace.seed"),
+    (["trace", "--set", "trace.seed=340282366920938463463374607431768211456", "--set", "trace.sweeps=1",
+      "--set", "trace.duration=1e-4"], "trace.seed"),  # 2**128: beyond the Philox key
     (["cavity", "--set", "trace.duration=inf"], "trace.duration"),
     (["cavity", "--set", "trace.duration=10"], "trace.duration"),
     (["capacity", "--set", "capacity.points=3.0"], "capacity.points"),
@@ -205,6 +207,12 @@ def test_equal_scenarios_share_output_names(tmp_path):
     assert run_cli("cavity", "--out", str(tmp_path)) == 0
     assert run_cli("cavity", "--set", "trace.sample_rate=100000000", "--out", str(tmp_path)) == 0
     assert len(list(tmp_path.glob("cavity-*.csv"))) == 1
+
+
+def test_largest_philox_seed_runs(tmp_path):
+    argv = ["trace", "--set", f"trace.seed={2**128 - 1}", "--set", "trace.sweeps=1",
+            "--set", "trace.duration=1e-4", "--out", str(tmp_path)]
+    assert run_cli(*argv) == 0
 
 
 def src_env() -> dict[str, str]:
