@@ -113,10 +113,11 @@ def run_interfere(scn: Scenario, args):
         icfg.squeezed_floor_db, [icfg.band_max], TraceLabel.SQUEEZED_QUADRATURE
     )
     tone = (icfg.tone_frequency, tracesim.tone_amplitude_for_db(icfg.tone_db_rel_shot, cfg))
-    coherent_psd = tracesim.averaged_psd(cfg, None, tone, TraceLabel.SHOT_NOISE)
-    squeezed_psd = tracesim.averaged_psd(cfg, squeezed_target, tone, TraceLabel.SQUEEZED_QUADRATURE)
+    # one sweep loop for both references: each sweep's noise is drawn once
+    references = [(None, TraceLabel.SHOT_NOISE), (squeezed_target, TraceLabel.SQUEEZED_QUADRATURE)]
+    psds = tracesim.averaged_psd(cfg, references, tone)
     report = "wrote coherent and squeezed reference PSDs"
-    return spectrum.write_traces_csv, ([coherent_psd, squeezed_psd],), report, {}
+    return spectrum.write_traces_csv, (psds,), report, {}
 
 
 def run_trace(scn: Scenario, args):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import squeezelab
-from squeezelab import capacity, cli, scenario
+from squeezelab import capacity, cli, scenario, tracesim
 from squeezelab.gaussian import db_to_ratio
 from squeezelab.scenario import ScenarioError, paper_preset
 from squeezelab.spectrum import TraceLabel, read_traces_csv
@@ -527,3 +528,31 @@ def test_modulation_script_buries_the_tone_only_classically(tmp_path):
     expected_db = 10 * np.log10((1 + e) / (db_to_ratio(-3.2) + e))
     assert 10 * np.log10(floor_coh / floor_sq) == pytest.approx(expected_db, abs=0.3)
 
+
+# sha256 of CSV outputs, unchanged since interfere began to share each sweep's draw
+@pytest.mark.parametrize("argv, digest", [
+    # the modulation script's own arguments
+    (None, "a74b1e56782f7dc4f78e458a3366a43341ade4ae62a20d7ff453e2edae827610"),
+    # three sweeps with the preset's electronic floor
+    (["trace", "--set", "trace.sweeps=3"], "1060101f4a8366f14a054559375b6d4bc0e70df426a2d44c162d7c72a8bf383d"),
+])
+def test_csv_bytes_are_pinned(tmp_path, argv, digest):
+    # pins the random stream, the shaping, the periodogram fold and the format
+    if argv is None:
+        argv = runpy.run_path(str(SCRIPTS / "reproduce_modulation_detection.py"))["ARGV"]
+    assert run_cli("--out", str(tmp_path), *argv) == 0
+    assert hashlib.sha256(next(tmp_path.glob("*.csv")).read_bytes()).hexdigest() == digest
+
+
+def test_interfere_draws_each_sweep_once(tmp_path, monkeypatch):
+    drawn = []
+    sweep_rng = tracesim.sweep_rng
+
+    def counted(cfg, sweep_index):
+        drawn.append(sweep_index)
+        return sweep_rng(cfg, sweep_index)
+
+    monkeypatch.setattr(tracesim, "sweep_rng", counted)
+    code = run_cli("interfere", "--out", str(tmp_path), "--set", "trace.sweeps=3", "--set", "trace.duration=1e-4")
+    assert code == 0
+    assert sorted(drawn) == [0, 1, 2]

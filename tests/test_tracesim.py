@@ -10,6 +10,7 @@ from squeezelab.spectrum import TraceLabel, default_frequency_grid, detected_spe
 from squeezelab.tracesim import (
     PhotocurrentTrace,
     TraceConfig,
+    _hann,
     _ratio_to_trace,
     _welch_ratio,
     averaged_psd,
@@ -256,29 +257,46 @@ class TestDeterminism:
         target = detected_spectrum(scn.operating_point(), scn.chain, default_frequency_grid())
         cfg = cfg_with(sweeps=3, electronic_floor_db=-12.0)
         tone = (4.5e6, tone_amplitude_for_db(-1.0, cfg))
+        references = [(None, TraceLabel.SHOT_NOISE), (target, TraceLabel.SQUEEZED_QUADRATURE)]
         threads = threading.active_count()
-        pooled = averaged_psd(cfg, target, tone, TraceLabel.SQUEEZED_QUADRATURE)
+        single = averaged_psd(cfg, target, tone, TraceLabel.SQUEEZED_QUADRATURE)
+        coherent, squeezed = averaged_psd(cfg, references, tone)
         assert threading.active_count() == threads
-        acc = 0.0
-        for k in range(cfg.sweeps):
-            freqs, ratio = _welch_ratio(synthesize_trace(cfg, target, tone, k).samples, cfg)
-            acc = acc + ratio
-        serial = _ratio_to_trace(freqs, acc / cfg.sweeps, cfg, TraceLabel.SQUEEZED_QUADRATURE)
-        assert np.array_equal(pooled.frequencies, serial.frequencies)
-        assert np.array_equal(pooled.values_db, serial.values_db)
+        assert [coherent.label, squeezed.label] == [label for _, label in references]
+        for pooled, reference in [(single, target), (coherent, None), (squeezed, target)]:
+            acc = 0.0
+            for k in range(cfg.sweeps):
+                freqs, ratio = _welch_ratio(synthesize_trace(cfg, reference, tone, k).samples, cfg)
+                acc = acc + ratio
+            serial = _ratio_to_trace(freqs, acc / cfg.sweeps, cfg, pooled.label)
+            assert np.array_equal(pooled.frequencies, serial.frequencies)
+            assert np.array_equal(pooled.values_db, serial.values_db)
+
+    def test_hann_window_is_cached_read_only(self):
+        window, sum_sq = _hann(5000)
+        assert _hann(5000)[0] is window
+        assert not window.flags.writeable
+        assert sum_sq == np.sum((0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(5000) / 5000)) ** 2)
 
     def test_memory_does_not_grow_with_sweeps(self):
         # 500-sample sweeps: what grows with the sweep count is the queue of pending sweeps
-        def peak(sweeps):
+        target = flat_trace(-3.2, default_frequency_grid(1e6, 45e6, 1e6))
+        references = [(None, TraceLabel.SHOT_NOISE), (target, TraceLabel.SQUEEZED_QUADRATURE)]
+
+        def two_references(cfg):
+            averaged_psd(replace(cfg, electronic_floor_db=-12.0), references, (4.5e6, 0.01))
+
+        def peak(psd, sweeps):
             tracemalloc.start()
             try:
-                averaged_psd(cfg_with(duration=5e-6, rbw=300e3, vbw=100e3, sweeps=sweeps))
+                psd(cfg_with(duration=5e-6, rbw=300e3, vbw=100e3, sweeps=sweeps))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(20)  # warm-up: caches filled on first use are not per-sweep memory
-        assert peak(2000) - peak(200) < 1e6
+        for psd in (averaged_psd, two_references):
+            peak(psd, 20)  # warm-up: caches filled on first use are not per-sweep memory
+            assert peak(psd, 2000) - peak(psd, 200) < 1e6
 
     def test_seed_changes_trace(self):
         a = synthesize_trace(cfg_with(seed=1))
