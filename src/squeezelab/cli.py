@@ -187,6 +187,12 @@ def main(argv: list[str] | None = None) -> int:
                      else "--observed-db and --mode go only with the correct subcommand")
     try:
         scn = resolve_scenario(args)
+        if correct:  # the same tests as the homodyne corrections, made before --out exists
+            ratio, p = gaussian.db_to_ratio(args.observed_db), scn.homodyne.power_ratio
+            if (ratio * (1.0 + p) - p if args.mode == "equal-power" else ratio - p) <= 0.0:
+                least = "p / (1 + p)" if args.mode == "equal-power" else "p"
+                raise ScenarioError(f"--observed-db {args.observed_db} is uncorrectable: the observed power ratio "
+                                    f"must exceed {least}, p = homodyne.opa_power / homodyne.lo_power = {p:g}")
         args.out.mkdir(parents=True, exist_ok=True)
     except (ScenarioError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -1,17 +1,18 @@
 """Time-domain photocurrent synthesis and spectrum-analyzer-style PSD estimation.
 
 Noise traces are white Gaussian samples shaped in the frequency domain so
-their one-sided PSD matches a target spectrum (in shot-noise units), with an
-optional white electronic floor and a deterministic modulation tone.  The
-estimator is Welch's averaged periodogram with a periodic Hann window at 50 %
-overlap, whose segment length is set so the window's noise-equivalent
-bandwidth equals the requested RBW; the video bandwidth is a post-detection
-moving average in the power domain.
+their one-sided PSD matches a target spectrum (in shot-noise units) plus an
+optional white electronic floor, which is part of the shaping gain rather than
+a second draw; a deterministic modulation tone may be added.  The estimator
+is Welch's averaged periodogram with a periodic Hann window at 50 % overlap,
+whose segment length is set so the window's noise-equivalent bandwidth
+equals the requested RBW; the video bandwidth is a post-detection moving
+average in the power domain.
 
 Everything is reproducible: the pseudorandom source is a counter-based
 Philox generator keyed by the config seed, with one jump per sweep, so
-identical configs give bit-identical traces and spectra.  A sweep draws its
-noise once for every reference shaped from it and takes one periodogram per
+identical configs give bit-identical traces and spectra.  A sweep makes one
+white draw for every reference shaped from it and takes one periodogram per
 reference.  Sweeps run on a thread pool and their periodograms are summed in
 sweep order, so the result does not depend on the number of threads.
 """
@@ -22,7 +23,6 @@ import functools
 import math
 import os
 from collections import deque
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -163,12 +163,14 @@ def classify_tone(
 
 def _sweep_invariants(
     cfg: TraceConfig, targets: list[SpectrumTrace | None], tone: tuple[float, float] | None
-) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
+) -> list[tuple[np.ndarray | float | None, np.ndarray | None]]:
     """Per target, what every sweep shares over the synthesized block of
-    `samples_per_sweep + segment_length` samples: the shaping gain on its rFFT
-    grid (None: white) and the tone waveform, one array for all (None: no tone)."""
+    `samples_per_sweep + segment_length` samples: the gain sqrt(target + floor)
+    on its rFFT grid (a scalar for a white target, None if also no electronic
+    floor) and the tone waveform, one array for all (None: no tone)."""
     nyquist = cfg.sample_rate / 2.0
     total = cfg.samples_per_sweep + cfg.segment_length
+    floor = 0.0 if cfg.electronic_floor_db is None else db_to_ratio(cfg.electronic_floor_db)
     gains, wave = [], None
     for target in targets:
         if target is not None and target.frequencies.size and target.frequencies[-1] >= nyquist:
@@ -176,8 +178,8 @@ def _sweep_invariants(
                 "under-sampled configuration: target spectrum extends to "
                 f"{target.frequencies[-1]:g} Hz, Nyquist is {nyquist:g} Hz"
             )
-        gains.append(None if target is None else
-                     np.sqrt(target.ratio_at(np.fft.rfftfreq(total, d=1.0 / cfg.sample_rate))))
+        gains.append((math.sqrt(1.0 + floor) if floor else None) if target is None else
+                     np.sqrt(target.ratio_at(np.fft.rfftfreq(total, d=1.0 / cfg.sample_rate)) + floor))
     if tone is not None:
         freq, amplitude = tone
         if freq >= nyquist:
@@ -187,50 +189,41 @@ def _sweep_invariants(
     return [(gain, wave) for gain in gains]
 
 
-def _sweep_noise(cfg: TraceConfig, k: int) -> tuple[np.ndarray, Callable[[], np.ndarray | None]]:
-    """Sweep `k`'s white draw, and a function returning its electronic-floor draw
-    (None: no floor), which the first call makes from the same generator.  Drawn up
-    front, before the shaping FFTs, it cost preset `trace` 3-13 % CPU on 2 vCPUs."""
-    total = cfg.samples_per_sweep + cfg.segment_length
-    rng = sweep_rng(cfg, k)
-    white = rng.standard_normal(total)
-    scale = None if cfg.electronic_floor_db is None else np.sqrt(db_to_ratio(cfg.electronic_floor_db))
-    return white, functools.cache(lambda: None if scale is None else scale * rng.standard_normal(total))
-
-
 def synthesize_trace(
     cfg: TraceConfig,
     target_spectrum: SpectrumTrace | None = None,
     tone: tuple[float, float] | None = None,
     sweep_index: int = 0,
     *,
-    invariants: tuple[np.ndarray | None, np.ndarray | None] | None = None,
-    noise: tuple[np.ndarray, Callable[[], np.ndarray | None]] | None = None,
+    invariants: tuple[np.ndarray | float | None, np.ndarray | None] | None = None,
+    noise: np.ndarray | None = None,
 ) -> PhotocurrentTrace:
-    """One sweep of shaped Gaussian noise, electronic floor and optional tone.
+    """One sweep of noise shaped to the target plus the electronic floor, and a tone.
 
     `target_spectrum` is the wanted one-sided PSD in shot-noise units (None
     means flat shot noise); `tone` is (frequency_hz, amplitude) of a
     deterministic sinusoid.  One segment of warm-up samples is synthesized
     and discarded so the retained block is free of the circular-shaping seam.
     A caller synthesizing many sweeps passes `invariants`, an item of
-    `_sweep_invariants`, in place of those two, and may pass the sweep's
-    draws, `noise = _sweep_noise(cfg, sweep_index)`, which are never written.
+    `_sweep_invariants`, in place of those two, and may pass `noise`, the
+    sweep's white draw from `sweep_rng(cfg, sweep_index)`, which is never written.
     """
     if invariants is None:
         invariants = _sweep_invariants(cfg, [target_spectrum], tone)[0]
     gain, wave = invariants
     warmup = cfg.segment_length
-    white, floor = noise if noise is not None else _sweep_noise(cfg, sweep_index)
-    x = white
-    if gain is not None:
+    if noise is None:
+        noise = sweep_rng(cfg, sweep_index).standard_normal(cfg.samples_per_sweep + warmup)
+    x = noise
+    if isinstance(gain, np.ndarray):
         spec = np.fft.rfft(x)
         spec *= gain
         x = np.fft.irfft(spec, n=x.size)
-    # the first addition into the white draw makes a new array, the rest add in place
-    for extra in (floor(), wave):
-        if extra is not None:
-            x = np.add(x, extra, out=None if x is white else x)
+    elif gain is not None:
+        x = gain * x
+    if wave is not None:
+        # into a new array while x is the white draw, in place otherwise
+        x = np.add(x, wave, out=None if x is noise else x)
     return PhotocurrentTrace(x[warmup:], cfg.sample_rate)
 
 
@@ -297,7 +290,7 @@ def averaged_psd(
 
     Given a list of (target, label) references for `target_spectrum`, it returns
     one PSD per reference, each bit-identical to a one-reference call: a sweep
-    draws its noise once and takes one periodogram per reference.
+    makes one white draw and takes one periodogram per reference.
 
     Sweeps run on one thread per CPU; their periodograms are summed in sweep
     order, so the result is bit-identical for any number of threads.
@@ -307,7 +300,7 @@ def averaged_psd(
     invariants = _sweep_invariants(cfg, [target for target, _ in references], tone)
 
     def sweep(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        noise = _sweep_noise(cfg, k)
+        noise = sweep_rng(cfg, k).standard_normal(cfg.samples_per_sweep + cfg.segment_length)
         traces = [synthesize_trace(cfg, sweep_index=k, invariants=inv, noise=noise) for inv in invariants]
         del noise  # not held through the periodograms
         return [_welch_ratio(trace.samples, cfg) for trace in traces]

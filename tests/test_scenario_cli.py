@@ -6,6 +6,7 @@ import pkgutil
 import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,10 @@ CONFIG_ERRORS = [
     (["spectrum", "--set", "chain.homodyne_contrast=1e-200"], "chain.homodyne_contrast"),  # eta 0
     (["correct", "--observed-db", "-3.75", "--set", "homodyne.lo_power=1e-320"],
      "homodyne.lo_power"),  # power ratio inf
+    # observed ratios the corrections cannot undo: at most p, or p / (1 + p) for equal-power
+    (["correct", "--observed-db", "-300"], "--observed-db"),
+    (["correct", "--observed-db", "-3.75", "--set", "homodyne.opa_power=100"], "homodyne.opa_power"),
+    (["correct", "--observed-db", "-300", "--mode", "equal-power"], "homodyne.lo_power"),
 ]
 
 
@@ -276,12 +281,12 @@ class TestCli:
         assert code == 0
         assert "-3.17 dB" in capsys.readouterr().out
 
-    def test_correct_nonphysical_is_runtime_failure(self, tmp_path):
+    def test_correct_nonphysical_is_configuration_error(self, tmp_path):
         code = run_cli(
             "correct", "--observed-db", "-20",
             "--mode", "blocked", "--out", str(tmp_path),
         )
-        assert code == 1
+        assert code == 2
 
     def test_capacity_r_zero_collapses(self, tmp_path):
         assert run_cli("capacity", "--set", "capacity.squeeze_r=0", "--out", str(tmp_path)) == 0
@@ -529,30 +534,52 @@ def test_modulation_script_buries_the_tone_only_classically(tmp_path):
     assert 10 * np.log10(floor_coh / floor_sq) == pytest.approx(expected_db, abs=0.3)
 
 
-# sha256 of CSV outputs, unchanged since interfere began to share each sweep's draw
+NO_FLOOR = ["--set", "trace.electronic_floor_db=none"]
+
+
+# sha256 of CSV outputs: with the electronic floor, unchanged since the floor became
+# part of the shaping gain; without it, since interfere began to share each sweep's draw
 @pytest.mark.parametrize("argv, digest", [
     # the modulation script's own arguments
-    (None, "a74b1e56782f7dc4f78e458a3366a43341ade4ae62a20d7ff453e2edae827610"),
-    # three sweeps with the preset's electronic floor
-    (["trace", "--set", "trace.sweeps=3"], "1060101f4a8366f14a054559375b6d4bc0e70df426a2d44c162d7c72a8bf383d"),
-])
+    ([], "26746ee934aa97c24401d06ae1dfcc19e36c66b495d835b7cd4527a1f661df90"),
+    (NO_FLOOR, "66af40eafcb1fbe4d3506ac2ac2078318def6521e4b8b7d9bd8491b42634d99e"),
+    # three sweeps, with and without the preset's electronic floor
+    (["trace", "--set", "trace.sweeps=3"], "82cd8202b3dff8dc74858de3627ad9ec0870489b360430a8a81926a0ca5e3534"),
+    (["trace", "--set", "trace.sweeps=3", *NO_FLOOR],
+     "fb40b237845e567f543a49d1b0eea12824491239055c0df61149b03de9dd6bf7"),
+], ids=["script", "script-no-floor", "trace", "trace-no-floor"])
 def test_csv_bytes_are_pinned(tmp_path, argv, digest):
     # pins the random stream, the shaping, the periodogram fold and the format
-    if argv is None:
-        argv = runpy.run_path(str(SCRIPTS / "reproduce_modulation_detection.py"))["ARGV"]
+    if argv[:1] != ["trace"]:
+        argv = runpy.run_path(str(SCRIPTS / "reproduce_modulation_detection.py"))["ARGV"] + argv
     assert run_cli("--out", str(tmp_path), *argv) == 0
     assert hashlib.sha256(next(tmp_path.glob("*.csv")).read_bytes()).hexdigest() == digest
 
 
+class CountedGenerator:
+    """A sweep's generator that records the size of each normal draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self.rng.standard_normal(size)
+
+
 def test_interfere_draws_each_sweep_once(tmp_path, monkeypatch):
-    drawn = []
+    drawn = {}
     sweep_rng = tracesim.sweep_rng
 
     def counted(cfg, sweep_index):
-        drawn.append(sweep_index)
-        return sweep_rng(cfg, sweep_index)
+        drawn[sweep_index] = CountedGenerator(sweep_rng(cfg, sweep_index))
+        return drawn[sweep_index]
 
     monkeypatch.setattr(tracesim, "sweep_rng", counted)
     code = run_cli("interfere", "--out", str(tmp_path), "--set", "trace.sweeps=3", "--set", "trace.duration=1e-4")
     assert code == 0
     assert sorted(drawn) == [0, 1, 2]
+    # one white draw per sweep, with the preset's electronic floor in the shaping gain
+    cfg = replace(paper_preset().trace, duration=1e-4)
+    assert cfg.electronic_floor_db is not None
+    assert [rng.sizes for rng in drawn.values()] == [[cfg.samples_per_sweep + cfg.segment_length]] * 3

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from squeezelab import scenario
+from squeezelab.gaussian import db_to_ratio
 from squeezelab.spectrum import TraceLabel, default_frequency_grid, detected_spectrum, flat_trace
 from squeezelab.tracesim import (
     PhotocurrentTrace,
@@ -225,11 +226,14 @@ class TestAveraging:
         scn = scenario.paper_preset()
         op = scn.operating_point()
         target = detected_spectrum(op, scn.chain, default_frequency_grid())
-        cfg = cfg_with(duration=1e-3, sweeps=25)
-        psd = averaged_psd(cfg, target, None, TraceLabel.SQUEEZED_QUADRATURE)
-        band = (psd.frequencies >= 3e6) & (psd.frequencies <= 20e6)
-        analytic_db = 10 * np.log10(target.ratio_at(psd.frequencies[band]))
-        assert np.max(np.abs(psd.values_db[band] - analytic_db)) < 0.5
+        # without and with an electronic floor, which adds to the target's ratio
+        for floor_db in (None, -12.0):
+            cfg = cfg_with(duration=1e-3, sweeps=25, electronic_floor_db=floor_db)
+            psd = averaged_psd(cfg, target, None, TraceLabel.SQUEEZED_QUADRATURE)
+            band = (psd.frequencies >= 3e6) & (psd.frequencies <= 20e6)
+            e = 0.0 if floor_db is None else db_to_ratio(floor_db)
+            analytic_db = 10 * np.log10(target.ratio_at(psd.frequencies[band]) + e)
+            assert np.max(np.abs(psd.values_db[band] - analytic_db)) < 0.5, floor_db
 
 
 class TestDeterminism:
