@@ -14,7 +14,9 @@ Philox generator keyed by the config seed, with one jump per sweep, so
 identical configs give bit-identical traces and spectra.  A sweep makes one
 white draw for every reference shaped from it and takes one periodogram per
 reference.  Sweeps run on a thread pool and their periodograms are summed in
-sweep order, so the result does not depend on the number of threads.
+sweep order, so the result does not depend on the number of threads.  Each
+worker thread reuses one workspace of buffers, sized from the config, for the
+draw, the shaping FFTs and the Welch segments of every sweep it runs.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ import enum
 import functools
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,8 +39,10 @@ RNG_ALGORITHM = "philox4x64"
 # Noise-equivalent bandwidth of the Hann window, in frequency bins.
 HANN_NENB_BINS = 1.5
 
-# Most samples one sweep may synthesize (0.1 s at 100 MS/s); a sweep's
-# working arrays peak at about 45 bytes per sample, 0.45 GB at this cap.
+# Most samples one sweep may synthesize (0.1 s at 100 MS/s).  Each worker
+# thread's buffers and a call's shaping gains peak at about 45 bytes per
+# synthesized sample for one shaped reference and 61 for two with a tone
+# (tracemalloc), 0.45 and 0.61 GB per worker at this cap.
 MAX_SAMPLES_PER_SWEEP = 10_000_000
 
 
@@ -189,6 +194,23 @@ def _sweep_invariants(
     return [(gain, wave) for gain in gains]
 
 
+class _Workspace:
+    """One worker's sweep buffers for `samples` retained samples of `cfg`, reused
+    by every sweep it runs: the white draw; one complex buffer that holds the
+    shaping rFFT and then the segment spectra; the windowed segments; and, for
+    more than one reference, a time-domain buffer for every reference but the
+    last, whose shaped trace is written back into the draw."""
+
+    def __init__(self, cfg: TraceConfig, samples: int | None = None, references: int = 1):
+        n = cfg.segment_length
+        samples = cfg.samples_per_sweep if samples is None else samples
+        total, nseg = samples + n, 1 + (samples - n) // (n - n // 2)
+        self.draw = np.empty(total)
+        self.spectrum = np.empty(max(nseg * (n // 2 + 1), total // 2 + 1), dtype=complex)
+        self.segments = np.empty((nseg, n))
+        self.time = np.empty(total) if references > 1 else None
+
+
 def synthesize_trace(
     cfg: TraceConfig,
     target_spectrum: SpectrumTrace | None = None,
@@ -196,7 +218,9 @@ def synthesize_trace(
     sweep_index: int = 0,
     *,
     invariants: tuple[np.ndarray | float | None, np.ndarray | None] | None = None,
+    workspace: _Workspace | None = None,
     noise: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> PhotocurrentTrace:
     """One sweep of noise shaped to the target plus the electronic floor, and a tone.
 
@@ -205,25 +229,28 @@ def synthesize_trace(
     deterministic sinusoid.  One segment of warm-up samples is synthesized
     and discarded so the retained block is free of the circular-shaping seam.
     A caller synthesizing many sweeps passes `invariants`, an item of
-    `_sweep_invariants`, in place of those two, and may pass `noise`, the
-    sweep's white draw from `sweep_rng(cfg, sweep_index)`, which is never written.
+    `_sweep_invariants`, in place of those two, and a `_Workspace` for `cfg`
+    whose buffers it reuses.  It may pass `noise`, the sweep's white draw from
+    `sweep_rng(cfg, sweep_index)`, and `out`, the array the trace is written
+    to (default: the workspace's draw buffer); `noise` is written only if it
+    is `out`.  The returned samples are a view of the workspace or of `noise`.
     """
     if invariants is None:
         invariants = _sweep_invariants(cfg, [target_spectrum], tone)[0]
     gain, wave = invariants
+    ws = _Workspace(cfg) if workspace is None else workspace
     warmup = cfg.segment_length
-    if noise is None:
-        noise = sweep_rng(cfg, sweep_index).standard_normal(cfg.samples_per_sweep + warmup)
-    x = noise
+    total = cfg.samples_per_sweep + warmup
+    x = sweep_rng(cfg, sweep_index).standard_normal(total, out=ws.draw) if noise is None else noise
+    out = ws.draw if out is None else out
     if isinstance(gain, np.ndarray):
-        spec = np.fft.rfft(x)
+        spec = np.fft.rfft(x, out=ws.spectrum[: total // 2 + 1])
         spec *= gain
-        x = np.fft.irfft(spec, n=x.size)
+        x = np.fft.irfft(spec, n=total, out=out)
     elif gain is not None:
-        x = gain * x
+        x = np.multiply(x, gain, out=out)
     if wave is not None:
-        # into a new array while x is the white draw, in place otherwise
-        x = np.add(x, wave, out=None if x is noise else x)
+        x = np.add(x, wave, out=out)
     return PhotocurrentTrace(x[warmup:], cfg.sample_rate)
 
 
@@ -235,20 +262,29 @@ def _hann(n: int) -> tuple[np.ndarray, np.floating]:
     return window, np.sum(window**2)
 
 
-def _welch_ratio(x: np.ndarray, cfg: TraceConfig) -> tuple[np.ndarray, np.ndarray]:
+def _welch_ratio(
+    x: np.ndarray, cfg: TraceConfig, workspace: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """One-sided Welch PSD normalized so unit-variance white noise reads 1.
 
     Periodic Hann segments of `segment_length` at 50 % overlap, no detrend,
-    transformed as one 2-D rFFT; a trailing part shorter than one step is
-    not used.
+    transformed as one 2-D rFFT into the buffers of `workspace` (a
+    `_Workspace` for `x.size` samples; a fresh one if None); a trailing part
+    shorter than one step is not used.
     """
     n = cfg.segment_length
     if x.size < n:
         raise ValueError(f"insufficient samples: {x.size} < segment of {n}")
+    ws = _Workspace(cfg, x.size) if workspace is None else workspace
     window, sum_sq = _hann(n)
     segments = np.lib.stride_tricks.sliding_window_view(x, n)[:: n - n // 2]
-    spec = np.fft.rfft(segments * window, axis=1)
-    power = np.mean(spec.real**2 + spec.imag**2, axis=0)
+    shape = (len(segments), n // 2 + 1)
+    spec = np.fft.rfft(np.multiply(segments, window, out=ws.segments), axis=1,
+                       out=ws.spectrum[: shape[0] * shape[1]].reshape(shape))
+    # |X|^2 in place through the float view: square, then add re and im columns
+    parts = spec.view(float)
+    np.square(parts, out=parts)
+    power = np.add(parts[:, 0::2], parts[:, 1::2], out=parts[:, 0::2]).mean(axis=0)
     # a one-sided density 2|X|^2 / (fs sum w^2) reads 2/fs for unit-variance
     # white noise; drop the DC and last bins, whose one-sided scaling differs
     freqs = np.fft.rfftfreq(n, d=1.0 / cfg.sample_rate)
@@ -299,11 +335,20 @@ def averaged_psd(
     references = [(target_spectrum, label)] if single else target_spectrum
     invariants = _sweep_invariants(cfg, [target for target, _ in references], tone)
 
+    local = threading.local()  # each worker thread's workspace
+
     def sweep(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        noise = sweep_rng(cfg, k).standard_normal(cfg.samples_per_sweep + cfg.segment_length)
-        traces = [synthesize_trace(cfg, sweep_index=k, invariants=inv, noise=noise) for inv in invariants]
-        del noise  # not held through the periodograms
-        return [_welch_ratio(trace.samples, cfg) for trace in traces]
+        ws = getattr(local, "workspace", None)
+        if ws is None:
+            ws = local.workspace = _Workspace(cfg, references=len(invariants))
+        noise = sweep_rng(cfg, k).standard_normal(ws.draw.size, out=ws.draw)
+        ratios = []
+        for i, inv in enumerate(invariants, 1):
+            # every reference but the last keeps the draw for the next one
+            out = ws.draw if i == len(invariants) else ws.time
+            trace = synthesize_trace(cfg, sweep_index=k, invariants=inv, workspace=ws, noise=noise, out=out)
+            ratios.append(_welch_ratio(trace.samples, cfg, ws))
+        return ratios
 
     # the CPUs this process may run on
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

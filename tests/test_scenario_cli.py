@@ -562,9 +562,9 @@ class CountedGenerator:
     def __init__(self, rng):
         self.rng, self.sizes = rng, []
 
-    def standard_normal(self, size):
+    def standard_normal(self, size, out=None):
         self.sizes.append(size)
-        return self.rng.standard_normal(size)
+        return self.rng.standard_normal(size, out=out)
 
 
 def test_interfere_draws_each_sweep_once(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from squeezelab import scenario
+from squeezelab import cli, scenario, tracesim
 from squeezelab.gaussian import db_to_ratio
 from squeezelab.spectrum import TraceLabel, default_frequency_grid, detected_spectrum, flat_trace
 from squeezelab.tracesim import (
@@ -33,6 +34,11 @@ def cfg_with(**overrides):
     )
     kwargs.update(overrides)
     return TraceConfig(**kwargs)
+
+
+def use_cpus(monkeypatch, n):
+    """Let averaged_psd see `n` CPUs: it runs min(n, sweeps) worker threads."""
+    monkeypatch.setattr(tracesim.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 class TestConfig:
@@ -301,6 +307,62 @@ class TestDeterminism:
         for psd in (averaged_psd, two_references):
             peak(psd, 20)  # warm-up: caches filled on first use are not per-sweep memory
             assert peak(psd, 2000) - peak(psd, 200) < 1e6
+
+    @pytest.mark.parametrize("duration", [2e-4, 6e-5], ids=["segments", "single-segment"])
+    def test_psd_bit_identical_for_1_2_3_threads(self, monkeypatch, duration):
+        scn = scenario.paper_preset()
+        target = detected_spectrum(scn.operating_point(), scn.chain, default_frequency_grid())
+        cfg = cfg_with(duration=duration, sweeps=5, electronic_floor_db=-12.0)
+        if duration == 6e-5:
+            # one segment: the shaping spectrum is longer than the segment spectra sharing its buffer
+            n = cfg.segment_length
+            assert cfg.samples_per_sweep < n + (n - n // 2)
+            assert (cfg.samples_per_sweep + n) // 2 + 1 > n // 2 + 1
+        tone = (4.5e6, tone_amplitude_for_db(-1.0, cfg))
+        references = [(None, TraceLabel.SHOT_NOISE), (target, TraceLabel.SQUEEZED_QUADRATURE)]
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches: a buffer shared between workers shows
+        try:
+            for cpus in (1, 2, 3):  # 3: more workers than cores on a 2-core machine
+                use_cpus(monkeypatch, cpus)
+                runs.append(averaged_psd(cfg, references, tone))
+        finally:
+            sys.setswitchinterval(interval)
+        for psds in runs[1:]:
+            for first, other in zip(runs[0], psds):
+                assert np.array_equal(first.values_db, other.values_db)
+
+    def test_trace_csv_bytes_same_for_1_and_2_threads(self, monkeypatch, tmp_path):
+        csvs = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            assert cli.main(["trace", "--out", str(out), "--set", "trace.sweeps=3", "--set", "trace.duration=2e-4"]) == 0
+            csvs.append(next(out.glob("trace-*.csv")).read_bytes())
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("duration", [1e-3, 1e-2])
+    def test_memory_per_worker(self, monkeypatch, duration):
+        # one worker thread: its reused buffers plus the call's shaping gains and tone
+        # waveform, in bytes per synthesized sample
+        use_cpus(monkeypatch, 1)
+        target = flat_trace(-3.2, default_frequency_grid(1e6, 45e6, 1e6))
+        references = [(None, TraceLabel.SHOT_NOISE), (target, TraceLabel.SQUEEZED_QUADRATURE)]
+        cfg = cfg_with(duration=duration, sweeps=2)
+        averaged_psd(cfg_with(duration=1e-4, sweeps=1), target)  # warm-up: the cached window
+
+        def peak_per_sample(psd):
+            tracemalloc.start()
+            try:
+                psd()
+                return tracemalloc.get_traced_memory()[1] / (cfg.samples_per_sweep + cfg.segment_length)
+            finally:
+                tracemalloc.stop()
+
+        assert peak_per_sample(lambda: averaged_psd(cfg, target)) <= 46
+        floor_cfg = replace(cfg, electronic_floor_db=-12.0)
+        assert peak_per_sample(lambda: averaged_psd(floor_cfg, references, (4.5e6, 0.01))) <= 62
 
     def test_seed_changes_trace(self):
         a = synthesize_trace(cfg_with(seed=1))
