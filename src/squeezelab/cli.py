@@ -13,10 +13,12 @@ Each option may come before or after the subcommand; --set overrides apply
 in command-line order; --observed-db (required) and --mode go only with correct.
 
 A runner only computes, returning (CSV writer, its arguments after the path,
-report, `.meta` extras); write_outputs writes the CSV, then a `.meta` sidecar
-with the resolved scenario, seed and RNG algorithm, so any result is
-reproducible from its own metadata.
-Exit codes: 0 success, 1 runtime numeric or write failure, 2 configuration error.
+report, `.meta` extras), and runs before --out is made, so a refusal or a
+numeric failure leaves nothing behind; write_outputs then writes the CSV, then
+a `.meta` sidecar with the resolved scenario, seed and RNG algorithm, so any
+result is reproducible from its own metadata.
+Exit codes: 0 success, 1 runtime numeric or write failure, 2 configuration error
+(an unwritable --out is one too, found after the compute).
 """
 from __future__ import annotations
 
@@ -93,12 +95,15 @@ def run_spectrum(scn: Scenario, args):
 
 
 def run_correct(scn: Scenario, args):
-    observed_ratio = gaussian.db_to_ratio(args.observed_db)
     power_ratio = scn.homodyne.power_ratio
     mode = args.mode or "blocked"
     correct = (homodyne.correct_blocked_shot_noise if mode == "blocked"
                else homodyne.correct_equal_power_shot_noise)
-    corrected_db = float(gaussian.ratio_to_db(correct(observed_ratio, power_ratio)))
+    try:
+        corrected_db = float(gaussian.ratio_to_db(correct(gaussian.db_to_ratio(args.observed_db), power_ratio)))
+    except ValueError as exc:
+        raise ScenarioError(f"--observed-db {args.observed_db} is uncorrectable at p = homodyne.opa_power / "
+                            f"homodyne.lo_power = {power_ratio:g}: {exc}") from None
     header = ("observed_db", "power_ratio", "mode", "corrected_db")
     columns = ([args.observed_db], [power_ratio], [mode], [corrected_db])
     report = f"corrected squeezing: {corrected_db:.2f} dB"
@@ -146,13 +151,6 @@ _RUNNERS = {
 }
 
 
-def finite_db(text: str) -> float:
-    """A finite dB value whose power ratio is finite too (an argparse type)."""
-    value = scenario.finite_float(text)
-    gaussian.db_to_ratio(value)
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="squeezelab",
@@ -163,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a scenario key, e.g. --set trace.seed=7")
-    parser.add_argument("--observed-db", type=finite_db, help="correct: observed squeezing in dB")
+    parser.add_argument("--observed-db", type=scenario.finite_float, help="correct: observed squeezing in dB")
     parser.add_argument("--mode", choices=["blocked", "equal-power"],
                         help="correct: shot-noise reference (default: blocked)")
     return parser
@@ -187,12 +185,7 @@ def main(argv: list[str] | None = None) -> int:
                      else "--observed-db and --mode go only with the correct subcommand")
     try:
         scn = resolve_scenario(args)
-        if correct:  # the same tests as the homodyne corrections, made before --out exists
-            ratio, p = gaussian.db_to_ratio(args.observed_db), scn.homodyne.power_ratio
-            if (ratio * (1.0 + p) - p if args.mode == "equal-power" else ratio - p) <= 0.0:
-                least = "p / (1 + p)" if args.mode == "equal-power" else "p"
-                raise ScenarioError(f"--observed-db {args.observed_db} is uncorrectable: the observed power ratio "
-                                    f"must exceed {least}, p = homodyne.opa_power / homodyne.lo_power = {p:g}")
+        write_csv, csv_args, report, extra = _RUNNERS[args.subcommand](scn, args)
         args.out.mkdir(parents=True, exist_ok=True)
     except (ScenarioError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -200,11 +193,12 @@ def main(argv: list[str] | None = None) -> int:
     except UnicodeDecodeError as exc:  # only --config is read as text
         print(f"configuration error: {args.config}: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # after validation, a numeric failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
-        write_csv, csv_args, report, extra = _RUNNERS[args.subcommand](scn, args)
         csv_path = write_outputs(args.out, scn, args.subcommand, write_csv, csv_args, extra)
     except (ValueError, OSError) as exc:
-        # after validation, a value error is a numeric failure and an OS error a failed write
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{report} -> {csv_path}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import get_type_hints
 
 from . import cavity as cavity_mod
@@ -62,10 +62,17 @@ class InterfereConfig:
 
 
 @dataclass(frozen=True)
+class OpaConfig:
+    """Pump and oscillation threshold; the limit 0 <= pump < threshold is OpaOperatingPoint's."""
+
+    pump_power: float  # W
+    threshold_power: float  # W; measured value, may differ from the model estimate
+
+
+@dataclass(frozen=True)
 class Scenario:
     cavity: CavityParams
-    opa_pump_power: float  # W
-    opa_threshold_power: float  # W; measured value, may differ from the model estimate
+    opa: OpaConfig
     chain: DetectionChain
     homodyne: HomodyneConfig
     trace: TraceConfig
@@ -75,18 +82,17 @@ class Scenario:
     def operating_point(self) -> OpaOperatingPoint:
         """Operating point with the cavity half-linewidth from the cavity model."""
         return OpaOperatingPoint(
-            pump_power=self.opa_pump_power,
-            threshold_power=self.opa_threshold_power,
+            pump_power=self.opa.pump_power,
+            threshold_power=self.opa.threshold_power,
             cavity_hwhm=cavity_mod.fwhm(self.cavity) / 2.0,
         )
 
     def validate(self) -> None:
         """Cross-field consistency checks beyond per-type invariants."""
-        if not (0.0 <= self.opa_pump_power < self.opa_threshold_power):
-            raise ScenarioError(
-                "opa.pump_power: must be below opa.threshold_power "
-                f"({self.opa_pump_power} >= {self.opa_threshold_power})"
-            )
+        try:
+            self.operating_point()
+        except ValueError as exc:
+            raise ScenarioError(f"opa.{exc}") from None
         # one rule over every frequency a subcommand analyses: 0 < f < Nyquist
         nyquist = self.trace.sample_rate / 2.0
         for name, freq in (("interfere.tone_frequency", self.interfere.tone_frequency),
@@ -116,8 +122,7 @@ def paper_preset() -> Scenario:
         cavity=CavityParams(
             geometric_length=0.052, crystal_length=0.005, mirror_R1=0.95, mirror_R2=0.99992
         ),
-        opa_pump_power=0.130,
-        opa_threshold_power=0.145,
+        opa=OpaConfig(pump_power=0.130, threshold_power=0.145),
         chain=DetectionChain(phase_jitter_rms=0.0131),
         homodyne=HomodyneConfig(opa_power=0.16e-3, lo_power=4.2e-3),
         trace=TraceConfig(electronic_floor_db=-12.0),
@@ -145,24 +150,16 @@ def _typed(kind, value):
 _EXPECTED = {int: "int", float: "finite float", float | None: "finite float or none"}
 
 
-def _schema() -> dict[str, tuple[str | None, str, object]]:
-    """Dotted key -> (section, or None for an `opa_*` field, field, declared type)."""
-    keys = {}
-    for attr, hint in get_type_hints(Scenario).items():
-        if is_dataclass(hint):
-            keys.update({f"{attr}.{k}": (attr, k, t) for k, t in get_type_hints(hint).items()})
-        else:
-            keys[attr.replace("_", ".", 1)] = (None, attr, hint)  # opa_x -> opa.x
-    return keys
-
-
-_KEYS = _schema()
+# dotted key -> (section, field, declared type), in declaration order
+_KEYS = {f"{section}.{name}": (section, name, kind)
+         for section, hint in get_type_hints(Scenario).items()
+         for name, kind in get_type_hints(hint).items()}
 
 
 def to_flat(scenario: Scenario) -> dict[str, object]:
     """Scenario as an ordered flat mapping of dotted keys to values."""
     return {
-        key: getattr(getattr(scenario, section) if section else scenario, name)
+        key: getattr(getattr(scenario, section), name)
         for key, (section, name, _) in _KEYS.items()
     }
 
@@ -174,7 +171,7 @@ def from_flat(flat: dict[str, object]) -> Scenario:
     a finite float, or `none` for None.  Every refusal raises ScenarioError
     naming the dotted key (section checks name their field first).
     """
-    changes: dict[str | None, dict[str, object]] = {}
+    changes: dict[str, dict[str, object]] = {}
     for key, value in flat.items():
         if key not in _KEYS:
             raise ScenarioError(f"{key}: unknown configuration key")
@@ -184,13 +181,13 @@ def from_flat(flat: dict[str, object]) -> Scenario:
         except (TypeError, ValueError, OverflowError):
             raise ScenarioError(f"{key}: expected {_EXPECTED[kind]}, got {value!r}") from None
     base = paper_preset()
-    top = changes.pop(None, {})
+    sections = {}
     for section, values in changes.items():
         try:
-            top[section] = replace(getattr(base, section), **values)
+            sections[section] = replace(getattr(base, section), **values)
         except ValueError as exc:
             raise ScenarioError(f"{section}.{exc}") from exc
-    scenario = replace(base, **top)
+    scenario = replace(base, **sections)
     scenario.validate()
     return scenario
 

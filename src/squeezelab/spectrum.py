@@ -76,11 +76,9 @@ class DetectionChain:
         # the antisqueezed quadrature sits pi/2 - sigma from the squeezed axis
         if not (0.0 <= self.phase_jitter_rms <= math.pi / 2):
             raise ValueError(f"phase_jitter_rms must be in [0, pi/2], got {self.phase_jitter_rms}")
-        if not self.detection_efficiency > 0.0:  # also validates the three factors
-            raise ValueError(
-                "quantum_efficiency, chain.homodyne_contrast and chain.propagation_efficiency "
-                "must give a detection_efficiency > 0; QE * contrast^2 * propagation underflows"
-            )
+        if not self.total_efficiency > 0.0:  # also validates the three detection factors
+            raise ValueError("quantum_efficiency, chain.homodyne_contrast, chain.propagation_efficiency and "
+                             "chain.escape_efficiency must give a total_efficiency > 0; their product underflows")
 
     @property
     def detection_efficiency(self) -> float:
@@ -189,10 +187,10 @@ def detected_variance(
 ):
     """Detected quadrature variance at sideband frequency omega (scalar or array).
 
-    Applies, in order: cavity escape efficiency, detection losses, and the
-    residual phase-jitter mix of the two (equally degraded) quadratures at the
-    same frequency.  Jitter rotates the squeezed quadrature by sigma away from
-    the squeezed axis and the antisqueezed one by pi/2 - sigma.
+    Applies the chain's one loss, total_efficiency (escape times detection),
+    then the residual phase-jitter mix of the two (equally degraded)
+    quadratures at the same frequency.  Jitter rotates the squeezed quadrature
+    by sigma away from the squeezed axis and the antisqueezed one by pi/2 - sigma.
     """
     if quadrature is TraceLabel.SQUEEZED_QUADRATURE:
         angle = chain.phase_jitter_rms
@@ -200,12 +198,9 @@ def detected_variance(
         angle = math.pi / 2 - chain.phase_jitter_rms
     else:
         raise ValueError(f"not an OPA quadrature: {quadrature}")
-    v_sq = ideal_spectrum(op, omega, TraceLabel.SQUEEZED_QUADRATURE)
-    v_anti = ideal_spectrum(op, omega, TraceLabel.ANTISQUEEZED_QUADRATURE)
-    esc = gaussian.LossModel(chain.escape_efficiency)
-    det = gaussian.LossModel(chain.detection_efficiency)
-    v_sq = gaussian.apply_loss(gaussian.apply_loss(v_sq, esc), det)
-    v_anti = gaussian.apply_loss(gaussian.apply_loss(v_anti, esc), det)
+    loss = gaussian.LossModel(chain.total_efficiency)
+    v_sq = gaussian.apply_loss(ideal_spectrum(op, omega, TraceLabel.SQUEEZED_QUADRATURE), loss)
+    v_anti = gaussian.apply_loss(ideal_spectrum(op, omega, TraceLabel.ANTISQUEEZED_QUADRATURE), loss)
     return gaussian.apply_phase_jitter(v_sq, v_anti, angle)
 
 

@@ -6,12 +6,13 @@ import pkgutil
 import runpy
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import squeezelab
 from squeezelab import capacity, cli, scenario, tracesim
@@ -24,7 +25,7 @@ class TestPaperPreset:
     def test_pump_ratio(self):
         scn = paper_preset()
         assert scn.operating_point().pump_ratio_x == pytest.approx(math.sqrt(0.130 / 0.145))
-        assert scn.opa_pump_power / scn.opa_threshold_power == pytest.approx(0.90, abs=4e-3)
+        assert scn.opa.pump_power / scn.opa.threshold_power == pytest.approx(0.90, abs=4e-3)
 
     def test_trace_settings(self):
         trace = paper_preset().trace
@@ -192,6 +193,9 @@ CONFIG_ERRORS = [
     (["cavity", "--set", "cavity.crystal_length=0", "--set", "cavity.geometric_length=5e-324"],
      "cavity.geometric_length"),  # FSR inf
     (["spectrum", "--set", "chain.homodyne_contrast=1e-200"], "chain.homodyne_contrast"),  # eta 0
+    (["spectrum", "--set", "chain.escape_efficiency=5e-324", "--set", "chain.homodyne_contrast=0.5"],
+     "chain.escape_efficiency"),  # escape * detection underflows to 0
+    (["cavity", "--set", "opa.threshold_power=0"], "opa.threshold_power"),
     (["correct", "--observed-db", "-3.75", "--set", "homodyne.lo_power=1e-320"],
      "homodyne.lo_power"),  # power ratio inf
     # observed ratios the corrections cannot undo: at most p, or p / (1 + p) for equal-power
@@ -495,6 +499,23 @@ class TestOutputWriter:
         assert run_cli("cavity", "--out", str(tmp_path)) == 1
         assert meta.with_suffix(".csv").is_file()
 
+    def test_numeric_failure_leaves_no_out(self, tmp_path, monkeypatch, capsys):
+        def fail(scn, args):
+            raise ValueError("overflow in the model")
+
+        monkeypatch.setitem(cli._RUNNERS, "cavity", fail)
+        out = tmp_path / "out"
+        assert run_cli("cavity", "--out", str(out)) == 1
+        assert "error: overflow in the model" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_exits_2_after_the_compute(self, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("")
+        assert run_cli("cavity", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and str(out) in err
+
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
@@ -554,6 +575,67 @@ def test_csv_bytes_are_pinned(tmp_path, argv, digest):
         argv = runpy.run_path(str(SCRIPTS / "reproduce_modulation_detection.py"))["ARGV"] + argv
     assert run_cli("--out", str(tmp_path), *argv) == 0
     assert hashlib.sha256(next(tmp_path.glob("*.csv")).read_bytes()).hexdigest() == digest
+
+
+# the stem names the files by a hash of the whole `.meta` record, so it pins that record
+META_STEMS = {
+    "cavity-8ee5e7657ec1": ["cavity"],
+    "spectrum-7feadbfe2eb2": ["spectrum"],
+    "capacity-6d7c5d9aac38": ["capacity"],
+    "correct-67e02a146b7a": ["correct", "--observed-db", "-3.75"],
+    "correct-272cb0aa8733": ["correct", "--observed-db", "-3.0", "--mode", "equal-power"],
+    "trace-ad81f56424b5": ["trace", "--set", "trace.sweeps=5"],
+    "interfere-783b9386ce4b": ["interfere", "--set", "trace.sweeps=5"],
+}
+
+
+@pytest.mark.parametrize("stem", list(META_STEMS))
+def test_meta_record_is_pinned(tmp_path, stem):
+    assert run_cli(*META_STEMS[stem], "--out", str(tmp_path)) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{stem}.csv", f"{stem}.meta"]
+
+
+# values at the edges of each type: subnormal, huge, a dB level that nearly overflows
+EXTREMES = ["0", "5e-324", "-5e-324", "1e308", "-1e308", "1e-300", "none", str(2**128 - 1),
+            "3000", "-3000", "1", "-1", "0.5", "2", "1e6", "nan", "inf"]
+TINY_TRACE = {"trace.sweeps": "1", "trace.duration": "1e-4"}
+
+
+def small_enough(subcommand, sets) -> bool:
+    """Whether the resolved run synthesizes at most 2 sweeps of about 2e6 samples."""
+    if subcommand not in ("trace", "interfere"):
+        return True
+    try:
+        trace = scenario.from_flat({**TINY_TRACE, **sets}).trace
+    except ScenarioError:
+        return True  # refused before anything runs
+    return trace.sweeps <= 2 and trace.samples_per_sweep + trace.segment_length <= 2e6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(cli._RUNNERS)), st.sampled_from(["blocked", "equal-power"]),
+       st.dictionaries(st.sampled_from(KEYS), st.sampled_from(EXTREMES), min_size=1, max_size=2))
+def test_any_extreme_key_value_runs_or_exits_2(subcommand, mode, sets):
+    assume(small_enough(subcommand, sets))
+    flags = ["--observed-db", "-3.75", "--mode", mode] if subcommand == "correct" else []
+    pairs = [arg for key, value in {**TINY_TRACE, **sets}.items() for arg in ("--set", f"{key}={value}")]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = exit_code(subcommand, *flags, *pairs, "--out", str(out))
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+            return
+        for row in next(out.glob("*.csv")).read_text().splitlines()[1:]:
+            for cell in row.split(","):
+                if cell == "":
+                    assert subcommand == "capacity"  # a point outside a bound's domain
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a label
+                assert math.isfinite(value), row
 
 
 class CountedGenerator:
