@@ -37,10 +37,10 @@ class CavityParams:
             if not (0.0 < r < 1.0):
                 raise ValueError(f"{name} must be in (0, 1), got {r}")
         if not finesse(self) > 0.0:
-            raise ValueError("mirror_R1 and cavity.mirror_R2: R1*R2 underflows to a finesse of 0")
+            raise ValueError("mirror_R1 * mirror_R2 underflows to a finesse of 0")
         if not 0.0 < fwhm(self) < math.inf:  # the optical length overflows or the FSR does
             raise ValueError(
-                "geometric_length, cavity.crystal_length and cavity.crystal_index must give a "
+                "geometric_length, crystal_length and crystal_index must give a "
                 f"linewidth fwhm in (0, inf) Hz, got {fwhm(self)}"
             )
         if not (0.0 <= self.intracavity_loss < 1.0):

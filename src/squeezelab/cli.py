@@ -9,8 +9,11 @@ Subcommands:
   trace      PSD of a synthesized photocurrent trace against the analytic target
   capacity   channel-capacity curves versus mean photon number
 
-Each option may come before or after the subcommand; --set overrides apply
-in command-line order; --observed-db (required) and --mode go only with correct.
+Each option may come before or after the subcommand; --observed-db (required)
+and --mode go only with correct.  The --config lines and then the --set pairs,
+in command-line order, form one overlay on the preset that scenario.from_flat
+checks once; a refusal names the dotted keys it concerns, and run_correct names
+its flags.
 
 A runner only computes, returning (CSV writer, its arguments after the path,
 report, `.meta` extras), and runs before --out is made, so a refusal or a
@@ -168,12 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_scenario(args) -> Scenario:
-    """Preset or --config scenario with the --set overrides applied, in order."""
-    flat = scenario.to_flat(scenario.load(args.config)) if args.config is not None else {}
-    for pair in args.set:
-        key, _, value = pair.partition("=")  # no `=`: the empty value is refused
-        flat[key.strip()] = value
-    return scenario.from_flat(flat)
+    """The preset overlaid with the --config lines, then the --set pairs in order, checked once."""
+    return scenario.parse(args.config.read_text() if args.config is not None else "", args.set)
 
 
 def main(argv: list[str] | None = None) -> int:

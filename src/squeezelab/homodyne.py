@@ -24,7 +24,7 @@ class HomodyneConfig:
         if self.lo_power <= 0.0:
             raise ValueError(f"lo_power must be > 0, got {self.lo_power}")
         if not math.isfinite(self.power_ratio):
-            raise ValueError(f"opa_power / homodyne.lo_power must be finite, got {self.power_ratio}")
+            raise ValueError(f"opa_power / lo_power must be finite, got {self.power_ratio}")
 
     @property
     def power_ratio(self) -> float:
@@ -69,8 +69,6 @@ def correct_equal_power_shot_noise(observed_ratio: float, power_ratio: float) ->
     if power_ratio < 0.0:
         raise ValueError("power_ratio must be >= 0")
     result = observed_ratio * (1.0 + power_ratio) - power_ratio
-    if result <= 0.0:
-        raise ValueError(
-            f"non-physical input: corrected variance would be {result} <= 0"
-        )
+    if not 0.0 < result < math.inf:
+        raise ValueError(f"non-physical input: corrected variance would be {result}, outside (0, inf)")
     return result

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from typing import get_type_hints
 
@@ -20,7 +21,7 @@ from .tracesim import TraceConfig
 
 
 class ScenarioError(ValueError):
-    """Configuration validation failure; message names the offending field."""
+    """Configuration refusal; from_flat names the dotted keys it concerns."""
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,10 @@ class CapacityConfig:
             raise ValueError("squeeze_r must be >= 0")
         # 4 e^{2r} nbar and e^{2r} must be finite; in logs, so that exp cannot raise
         if 2.0 * self.squeeze_r + math.log(4.0 * max(self.nbar_max, 1.0)) >= math.log(sys.float_info.max):
-            raise ValueError("squeeze_r and capacity.nbar_max: 4 exp(2 squeeze_r) nbar_max overflows")
+            raise ValueError("4 exp(2 squeeze_r) nbar_max overflows")
         # geomspace rounds its values by ~1e-13 relative: far larger steps keep them increasing
         if math.log(self.nbar_max) - math.log(self.nbar_min) < 1e-9 * (self.points - 1):
-            raise ValueError(f"nbar_max: the {self.points}-point grid from nbar_min steps by < 1e-9")
+            raise ValueError(f"the {self.points}-point grid from nbar_min to nbar_max steps by < 1e-9")
 
 
 @dataclass(frozen=True)
@@ -88,23 +89,17 @@ class Scenario:
         )
 
     def validate(self) -> None:
-        """Cross-field consistency checks beyond per-type invariants."""
-        try:
-            self.operating_point()
-        except ValueError as exc:
-            raise ScenarioError(f"opa.{exc}") from None
+        """Cross-section consistency checks beyond per-section invariants."""
+        self.operating_point()
         # one rule over every frequency a subcommand analyses: 0 < f < Nyquist
         nyquist = self.trace.sample_rate / 2.0
         for name, freq in (("interfere.tone_frequency", self.interfere.tone_frequency),
                            ("interfere.band_max", self.interfere.band_max),
                            ("the spectrum and trace grid top", DEFAULT_GRID_STOP)):
             if not 0.0 < freq < nyquist:
-                raise ScenarioError(f"{name} = {freq:g} Hz must lie in (0, Nyquist), and "
-                                    f"Nyquist = trace.sample_rate / 2 = {nyquist:g} Hz")
-        try:
-            self.trace.check_level(self.interfere.tone_db_rel_shot, "interfere.tone_db_rel_shot")
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
+                raise ValueError(f"{name} = {freq:g} Hz must lie in (0, Nyquist), and "
+                                 f"Nyquist = trace.sample_rate / 2 = {nyquist:g} Hz")
+        self.trace.check_level(self.interfere.tone_db_rel_shot, "interfere.tone_db_rel_shot")
 
 
 # Scenario parameters that are not stated in the source experiment and are
@@ -169,26 +164,38 @@ def from_flat(flat: dict[str, object]) -> Scenario:
 
     Each value, text or number, takes its field's declared type: a whole int,
     a finite float, or `none` for None.  Every refusal raises ScenarioError
-    naming the dotted key (section checks name their field first).
+    that begins with dotted keys, the one place they are named: a bad value or
+    unknown key names itself; a section's refusal, the keys changed from the
+    preset in that section; and a cross-section rule of `Scenario.validate`,
+    every changed key.  The preset is valid, so each refusal names a key.
     """
+    base = paper_preset()
+    preset = to_flat(base)
     changes: dict[str, dict[str, object]] = {}
+    changed: list[str] = []
     for key, value in flat.items():
         if key not in _KEYS:
             raise ScenarioError(f"{key}: unknown configuration key")
         section, name, kind = _KEYS[key]
         try:
-            changes.setdefault(section, {})[name] = _typed(kind, value)
+            typed = _typed(kind, value)
         except (TypeError, ValueError, OverflowError):
             raise ScenarioError(f"{key}: expected {_EXPECTED[kind]}, got {value!r}") from None
-    base = paper_preset()
+        changes.setdefault(section, {})[name] = typed
+        if typed != preset[key]:
+            changed.append(key)
     sections = {}
     for section, values in changes.items():
         try:
             sections[section] = replace(getattr(base, section), **values)
         except ValueError as exc:
-            raise ScenarioError(f"{section}.{exc}") from exc
+            keys = [key for key in changed if _KEYS[key][0] == section]
+            raise ScenarioError(f"{', '.join(keys)}: {exc}") from None
     scenario = replace(base, **sections)
-    scenario.validate()
+    try:
+        scenario.validate()
+    except ValueError as exc:
+        raise ScenarioError(f"{', '.join(changed)}: {exc}") from None
     return scenario
 
 
@@ -198,17 +205,12 @@ def serialize(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse(text: str) -> Scenario:
-    """Scenario from `key = value` lines; a line without a value is refused by key."""
+def parse(text: str, overrides: Iterable[str] = ()) -> Scenario:
+    """Scenario from `key = value` lines, then `key=value` overrides in order,
+    checked once as one mapping; a line without a value is refused by key."""
+    lines = [raw.split("#", 1)[0] for raw in text.splitlines()]
     flat: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0]
-        if line.strip():
-            key, _, value = line.partition("=")
-            flat[key.strip()] = value.strip()
+    for pair in [line for line in lines if line.strip()] + list(overrides):
+        key, _, value = pair.partition("=")
+        flat[key.strip()] = value.strip()
     return from_flat(flat)
-
-
-def load(path) -> Scenario:
-    with open(path) as fh:
-        return parse(fh.read())

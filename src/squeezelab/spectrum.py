@@ -77,8 +77,8 @@ class DetectionChain:
         if not (0.0 <= self.phase_jitter_rms <= math.pi / 2):
             raise ValueError(f"phase_jitter_rms must be in [0, pi/2], got {self.phase_jitter_rms}")
         if not self.total_efficiency > 0.0:  # also validates the three detection factors
-            raise ValueError("quantum_efficiency, chain.homodyne_contrast, chain.propagation_efficiency and "
-                             "chain.escape_efficiency must give a total_efficiency > 0; their product underflows")
+            raise ValueError("quantum_efficiency, homodyne_contrast, propagation_efficiency and "
+                             "escape_efficiency must give a total_efficiency > 0; their product underflows")
 
     @property
     def detection_efficiency(self) -> float:

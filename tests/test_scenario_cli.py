@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import io
 import math
 import os
 import pkgutil
@@ -7,6 +8,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr
 from dataclasses import replace
 from pathlib import Path
 
@@ -126,7 +128,7 @@ class TestConfigFormat:
         path = tmp_path / "scenario.cfg"
         scn = scenario.from_flat({"trace.seed": 5})
         path.write_text(scenario.serialize(scn))
-        assert scenario.load(path) == scn
+        assert scenario.parse(path.read_text()) == scn
 
     @given(st.dictionaries(st.sampled_from(KEYS), VALUE_TEXT))
     def test_any_value_text_is_typed_or_refused(self, flat):
@@ -202,6 +204,15 @@ CONFIG_ERRORS = [
     (["correct", "--observed-db", "-300"], "--observed-db"),
     (["correct", "--observed-db", "-3.75", "--set", "homodyne.opa_power=100"], "homodyne.opa_power"),
     (["correct", "--observed-db", "-300", "--mode", "equal-power"], "homodyne.lo_power"),
+    (["correct", "--observed-db", "3000", "--mode", "equal-power", "--set", "homodyne.opa_power=1e10"],
+     "--observed-db"),  # the corrected variance overflows to inf
+    # a refusal names the key that was set, whatever field its message is about
+    (["cavity", "--set", "trace.duration=0"], "trace.duration"),
+    (["cavity", "--set", "trace.sample_rate=1"], "trace.sample_rate"),  # fewer samples than a segment
+    (["cavity", "--set", "trace.rbw=1e6"], "trace.rbw"),  # rbw/vbw beyond the PSD bins
+    (["cavity", "--set", "opa.threshold_power=1e-300"], "opa.threshold_power"),  # pump above it
+    (["capacity", "--set", "capacity.nbar_max=-1"], "capacity.nbar_max"),  # below nbar_min
+    (["cavity", "--set", "cavity.geometric_length=1e-300"], "cavity.geometric_length"),  # below the crystal
 ]
 
 
@@ -425,6 +436,34 @@ class TestOptionPosition:
         csv_after = next(after.glob("correct-*.csv"))
         assert csv_after.read_bytes() == (before / csv_after.name).read_bytes()
 
+    def test_config_and_set_are_checked_as_one_overlay(self, tmp_path):
+        # the file alone puts the pump above threshold; the --set mends it
+        cfg = tmp_path / "scn.cfg"
+        cfg.write_text("opa.pump_power = 0.2\n")
+        code = run_cli("cavity", "--config", str(cfg), "--set", "opa.threshold_power=1", "--out", str(tmp_path))
+        assert code == 0
+        meta = next(tmp_path.glob("cavity-*.meta")).read_text()
+        assert "opa.pump_power = 0.2\n" in meta and "opa.threshold_power = 1.0\n" in meta
+
+    @pytest.mark.parametrize("in_file", [True, False])
+    def test_section_refusal_names_its_changed_keys_only(self, tmp_path, capsys, in_file):
+        # the file states every key; only the changed one of the refused section is named
+        text = scenario.serialize(paper_preset())
+        cfg = tmp_path / "scn.cfg"
+        cfg.write_text(text.replace("mirror_R1 = 0.95", "mirror_R1 = 2") if in_file else text)
+        sets = [] if in_file else ["--set", "cavity.mirror_R1=2"]
+        out = tmp_path / "out"
+        assert run_cli("cavity", "--config", str(cfg), *sets, "--set", "trace.seed=5", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: cavity.mirror_R1: mirror_R1 must be in (0, 1), got 2" in err
+        assert "trace.seed" not in err and "cavity.mirror_R2" not in err and not out.exists()
+
+    def test_cross_section_refusal_names_every_changed_key(self, tmp_path, capsys):
+        argv = ["cavity", "--set", "opa.pump_power=0.2", "--set", "trace.seed=0", "--set", "trace.sweeps=3"]
+        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        # trace.seed = 0 is the preset's value, so it is not a change
+        assert "configuration error: opa.pump_power, trace.sweeps: pump_power" in capsys.readouterr().err
+
     def test_config_before_subcommand(self, tmp_path):
         cfg = tmp_path / "scn.cfg"
         cfg.write_text(scenario.serialize(scenario.from_flat({"trace.seed": 11})))
@@ -614,17 +653,20 @@ def small_enough(subcommand, sets) -> bool:
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(list(cli._RUNNERS)), st.sampled_from(["blocked", "equal-power"]),
+       st.sampled_from(["-3.75", "-300", "300", "3000"]),
        st.dictionaries(st.sampled_from(KEYS), st.sampled_from(EXTREMES), min_size=1, max_size=2))
-def test_any_extreme_key_value_runs_or_exits_2(subcommand, mode, sets):
+def test_any_extreme_key_value_runs_or_exits_2(subcommand, mode, observed, sets):
     assume(small_enough(subcommand, sets))
-    flags = ["--observed-db", "-3.75", "--mode", mode] if subcommand == "correct" else []
+    flags = ["--observed-db", observed, "--mode", mode] if subcommand == "correct" else []
     pairs = [arg for key, value in {**TINY_TRACE, **sets}.items() for arg in ("--set", f"{key}={value}")]
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
         out = Path(tmp) / "out"
         code = exit_code(subcommand, *flags, *pairs, "--out", str(out))
         assert code in (0, 2)
         if code == 2:
             assert not out.exists()
+            # a refused value names its key; a refused --observed-db names the flag
+            assert any(name in err.getvalue() for name in [*sets, *flags[:1]]), err.getvalue()
             return
         for row in next(out.glob("*.csv")).read_text().splitlines()[1:]:
             for cell in row.split(","):
