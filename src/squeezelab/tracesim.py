@@ -15,13 +15,12 @@ identical configs give bit-identical traces and spectra.  A sweep makes one
 white draw for every reference shaped from it and takes one periodogram per
 reference.  Sweeps run on a thread pool and their periodograms are summed in
 sweep order, so the result does not depend on the number of threads.  Each
-worker thread reuses one workspace of buffers, sized from the config, for the
-draw, the shaping FFTs and the Welch segments of every sweep it runs.
+worker thread reuses one workspace, sized from the config, holding the Hann
+window and the buffers for the draw, the shaping FFTs and the Welch segments.
 """
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import os
 import threading
@@ -168,11 +167,11 @@ def classify_tone(
 
 def _sweep_invariants(
     cfg: TraceConfig, targets: list[SpectrumTrace | None], tone: tuple[float, float] | None
-) -> list[tuple[np.ndarray | float | None, np.ndarray | None]]:
+) -> list[tuple[np.ndarray | float, np.ndarray | None]]:
     """Per target, what every sweep shares over the synthesized block of
     `samples_per_sweep + segment_length` samples: the gain sqrt(target + floor)
-    on its rFFT grid (a scalar for a white target, None if also no electronic
-    floor) and the tone waveform, one array for all (None: no tone)."""
+    on its rFFT grid (the scalar sqrt(1 + floor) for a white target) and the
+    tone waveform, one array for all (None: no tone)."""
     nyquist = cfg.sample_rate / 2.0
     total = cfg.samples_per_sweep + cfg.segment_length
     floor = 0.0 if cfg.electronic_floor_db is None else db_to_ratio(cfg.electronic_floor_db)
@@ -183,7 +182,7 @@ def _sweep_invariants(
                 "under-sampled configuration: target spectrum extends to "
                 f"{target.frequencies[-1]:g} Hz, Nyquist is {nyquist:g} Hz"
             )
-        gains.append((math.sqrt(1.0 + floor) if floor else None) if target is None else
+        gains.append(math.sqrt(1.0 + floor) if target is None else
                      np.sqrt(target.ratio_at(np.fft.rfftfreq(total, d=1.0 / cfg.sample_rate)) + floor))
     if tone is not None:
         freq, amplitude = tone
@@ -195,8 +194,9 @@ def _sweep_invariants(
 
 
 class _Workspace:
-    """One worker's sweep buffers for `samples` retained samples of `cfg`, reused
-    by every sweep it runs: the white draw; one complex buffer that holds the
+    """One worker's sweep state for `samples` retained samples of `cfg`, reused
+    by every sweep it runs: the periodic Hann window of `segment_length` points
+    and its sum of squares; the white draw; one complex buffer that holds the
     shaping rFFT and then the segment spectra; the windowed segments; and, for
     more than one reference, a time-domain buffer for every reference but the
     last, whose shaped trace is written back into the draw."""
@@ -205,6 +205,8 @@ class _Workspace:
         n = cfg.segment_length
         samples = cfg.samples_per_sweep if samples is None else samples
         total, nseg = samples + n, 1 + (samples - n) // (n - n // 2)
+        self.window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+        self.window_sum_sq = np.sum(self.window**2)
         self.draw = np.empty(total)
         self.spectrum = np.empty(max(nseg * (n // 2 + 1), total // 2 + 1), dtype=complex)
         self.segments = np.empty((nseg, n))
@@ -217,9 +219,8 @@ def synthesize_trace(
     tone: tuple[float, float] | None = None,
     sweep_index: int = 0,
     *,
-    invariants: tuple[np.ndarray | float | None, np.ndarray | None] | None = None,
+    invariants: tuple[np.ndarray | float, np.ndarray | None] | None = None,
     workspace: _Workspace | None = None,
-    noise: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> PhotocurrentTrace:
     """One sweep of noise shaped to the target plus the electronic floor, and a tone.
@@ -230,45 +231,36 @@ def synthesize_trace(
     and discarded so the retained block is free of the circular-shaping seam.
     A caller synthesizing many sweeps passes `invariants`, an item of
     `_sweep_invariants`, in place of those two, and a `_Workspace` for `cfg`
-    whose buffers it reuses.  It may pass `noise`, the sweep's white draw from
-    `sweep_rng(cfg, sweep_index)`, and `out`, the array the trace is written
-    to (default: the workspace's draw buffer); `noise` is written only if it
-    is `out`.  The returned samples are a view of the workspace or of `noise`.
+    whose `draw` holds the sweep's white draw (a call without one makes a
+    workspace and draws into it from `sweep_rng(cfg, sweep_index)`); it may
+    pass `out`, the array the trace is written to (default: the draw).  The
+    returned samples are a view of `out`.
     """
     if invariants is None:
         invariants = _sweep_invariants(cfg, [target_spectrum], tone)[0]
     gain, wave = invariants
-    ws = _Workspace(cfg) if workspace is None else workspace
     warmup = cfg.segment_length
     total = cfg.samples_per_sweep + warmup
-    x = sweep_rng(cfg, sweep_index).standard_normal(total, out=ws.draw) if noise is None else noise
-    out = ws.draw if out is None else out
+    if workspace is None:
+        workspace = _Workspace(cfg)
+        sweep_rng(cfg, sweep_index).standard_normal(total, out=workspace.draw)
+    out = workspace.draw if out is None else out
     if isinstance(gain, np.ndarray):
-        spec = np.fft.rfft(x, out=ws.spectrum[: total // 2 + 1])
+        spec = np.fft.rfft(workspace.draw, out=workspace.spectrum[: total // 2 + 1])
         spec *= gain
-        x = np.fft.irfft(spec, n=total, out=out)
-    elif gain is not None:
-        x = np.multiply(x, gain, out=out)
+        np.fft.irfft(spec, n=total, out=out)
+    else:
+        np.multiply(workspace.draw, gain, out=out)
     if wave is not None:
-        x = np.add(x, wave, out=out)
-    return PhotocurrentTrace(x[warmup:], cfg.sample_rate)
+        out += wave
+    return PhotocurrentTrace(out[warmup:], cfg.sample_rate)
 
 
-@functools.lru_cache(maxsize=4)
-def _hann(n: int) -> tuple[np.ndarray, np.floating]:
-    """Periodic Hann window of `n` points, read-only, and its sum of squares."""
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    window.flags.writeable = False
-    return window, np.sum(window**2)
-
-
-def _welch_ratio(
-    x: np.ndarray, cfg: TraceConfig, workspace: _Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _welch_ratio(x: np.ndarray, cfg: TraceConfig, workspace: _Workspace | None = None) -> np.ndarray:
     """One-sided Welch PSD normalized so unit-variance white noise reads 1.
 
     Periodic Hann segments of `segment_length` at 50 % overlap, no detrend,
-    transformed as one 2-D rFFT into the buffers of `workspace` (a
+    transformed as one 2-D rFFT with the window and buffers of `workspace` (a
     `_Workspace` for `x.size` samples; a fresh one if None); a trailing part
     shorter than one step is not used.
     """
@@ -276,10 +268,9 @@ def _welch_ratio(
     if x.size < n:
         raise ValueError(f"insufficient samples: {x.size} < segment of {n}")
     ws = _Workspace(cfg, x.size) if workspace is None else workspace
-    window, sum_sq = _hann(n)
     segments = np.lib.stride_tricks.sliding_window_view(x, n)[:: n - n // 2]
     shape = (len(segments), n // 2 + 1)
-    spec = np.fft.rfft(np.multiply(segments, window, out=ws.segments), axis=1,
+    spec = np.fft.rfft(np.multiply(segments, ws.window, out=ws.segments), axis=1,
                        out=ws.spectrum[: shape[0] * shape[1]].reshape(shape))
     # |X|^2 in place through the float view: square, then add re and im columns
     parts = spec.view(float)
@@ -287,14 +278,11 @@ def _welch_ratio(
     power = np.add(parts[:, 0::2], parts[:, 1::2], out=parts[:, 0::2]).mean(axis=0)
     # a one-sided density 2|X|^2 / (fs sum w^2) reads 2/fs for unit-variance
     # white noise; drop the DC and last bins, whose one-sided scaling differs
-    freqs = np.fft.rfftfreq(n, d=1.0 / cfg.sample_rate)
-    return freqs[1:-1], power[1:-1] / sum_sq
+    return power[1:-1] / ws.window_sum_sq
 
 
-def _ratio_to_trace(
-    freqs: np.ndarray, ratio: np.ndarray, cfg: TraceConfig, label: TraceLabel
-) -> SpectrumTrace:
-    """VBW-smooth a PSD ratio and return it in dB relative to shot noise."""
+def _ratio_to_trace(ratio: np.ndarray, cfg: TraceConfig, label: TraceLabel) -> SpectrumTrace:
+    """VBW-smooth a `_welch_ratio` PSD; return it on its grid in dB relative to shot noise."""
     m = cfg.vbw_bins
     if m > 1:
         # moving mean of m bins, the edge bins repeated beyond either end
@@ -302,6 +290,7 @@ def _ratio_to_trace(
         ratio = np.convolve(padded, np.ones(m), "valid") / m
     # clamp for the log: a zero-power bin reads -3000 dB rather than -inf
     ratio = np.maximum(ratio, 1e-300)
+    freqs = np.fft.rfftfreq(cfg.segment_length, d=1.0 / cfg.sample_rate)[1:-1]
     return SpectrumTrace(freqs, 10.0 * np.log10(ratio), label)
 
 
@@ -311,8 +300,7 @@ def estimate_psd(
     label: TraceLabel = TraceLabel.SHOT_NOISE,
 ) -> SpectrumTrace:
     """Averaged-periodogram PSD of one trace, in dB relative to shot noise."""
-    freqs, ratio = _welch_ratio(trace.samples, cfg)
-    return _ratio_to_trace(freqs, ratio, cfg, label)
+    return _ratio_to_trace(_welch_ratio(trace.samples, cfg), cfg, label)
 
 
 def averaged_psd(
@@ -337,16 +325,16 @@ def averaged_psd(
 
     local = threading.local()  # each worker thread's workspace
 
-    def sweep(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    def sweep(k: int) -> list[np.ndarray]:
         ws = getattr(local, "workspace", None)
         if ws is None:
             ws = local.workspace = _Workspace(cfg, references=len(invariants))
-        noise = sweep_rng(cfg, k).standard_normal(ws.draw.size, out=ws.draw)
+        sweep_rng(cfg, k).standard_normal(ws.draw.size, out=ws.draw)
         ratios = []
         for i, inv in enumerate(invariants, 1):
             # every reference but the last keeps the draw for the next one
             out = ws.draw if i == len(invariants) else ws.time
-            trace = synthesize_trace(cfg, sweep_index=k, invariants=inv, workspace=ws, noise=noise, out=out)
+            trace = synthesize_trace(cfg, invariants=inv, workspace=ws, out=out)
             ratios.append(_welch_ratio(trace.samples, cfg, ws))
         return ratios
 
@@ -358,9 +346,9 @@ def averaged_psd(
     with ThreadPoolExecutor(threads) as ex:
         pending = deque(ex.submit(sweep, k) for k in range(min(ahead, cfg.sweeps)))
         for k in range(ahead, cfg.sweeps + ahead):
-            for i, (freqs, ratio) in enumerate(pending.popleft().result()):
+            for i, ratio in enumerate(pending.popleft().result()):
                 accs[i] += ratio
             if k < cfg.sweeps:
                 pending.append(ex.submit(sweep, k))
-    psds = [_ratio_to_trace(freqs, a / cfg.sweeps, cfg, lab) for a, (_, lab) in zip(accs, references)]
+    psds = [_ratio_to_trace(a / cfg.sweeps, cfg, lab) for a, (_, lab) in zip(accs, references)]
     return psds[0] if single else psds

@@ -11,11 +11,12 @@ from squeezelab.gaussian import db_to_ratio
 from squeezelab.spectrum import TraceLabel, default_frequency_grid, detected_spectrum, flat_trace
 from squeezelab.tracesim import (
     PhotocurrentTrace,
+    ToneVisibility,
     TraceConfig,
-    _hann,
     _ratio_to_trace,
     _welch_ratio,
     averaged_psd,
+    classify_tone,
     estimate_psd,
     synthesize_trace,
     tone_amplitude_for_db,
@@ -179,19 +180,18 @@ class TestWelch:
         cfg = cfg_with(rbw=rbw, duration=samples / 100e6)
         n = cfg.segment_length
         x = np.random.default_rng(3).standard_normal(samples)
-        freqs, ratio = _welch_ratio(x, cfg)
         ref_f, ref_p = signal.welch(x, fs=cfg.sample_rate, window="hann", nperseg=n,
                                     noverlap=n // 2, detrend=False, scaling="density")
+        freqs = estimate_psd(PhotocurrentTrace(x, cfg.sample_rate), cfg).frequencies
         np.testing.assert_array_equal(freqs, ref_f[1:-1])
-        np.testing.assert_allclose(ratio, ref_p[1:-1] * cfg.sample_rate / 2.0, rtol=1e-12)
+        np.testing.assert_allclose(_welch_ratio(x, cfg), ref_p[1:-1] * cfg.sample_rate / 2.0, rtol=1e-12)
 
     @pytest.mark.parametrize("vbw", [10e3, 7.5e3, 300.0])  # 3, 4 and 100 bins
     def test_vbw_is_edge_clamped_moving_mean(self, vbw):
         cfg = cfg_with(vbw=vbw)
         m = cfg.vbw_bins
         ratio = np.random.default_rng(5).exponential(size=cfg.psd_bins)
-        freqs = np.arange(ratio.size, dtype=float)
-        got = _ratio_to_trace(freqs, ratio, cfg, TraceLabel.SHOT_NOISE).ratio()
+        got = _ratio_to_trace(ratio, cfg, TraceLabel.SHOT_NOISE).ratio()
         clamp = lambda i: ratio[min(max(i, 0), ratio.size - 1)]
         want = [np.mean([clamp(j) for j in range(i - m // 2, i - m // 2 + m)])
                 for i in range(ratio.size)]
@@ -276,17 +276,10 @@ class TestDeterminism:
         for pooled, reference in [(single, target), (coherent, None), (squeezed, target)]:
             acc = 0.0
             for k in range(cfg.sweeps):
-                freqs, ratio = _welch_ratio(synthesize_trace(cfg, reference, tone, k).samples, cfg)
-                acc = acc + ratio
-            serial = _ratio_to_trace(freqs, acc / cfg.sweeps, cfg, pooled.label)
+                acc = acc + _welch_ratio(synthesize_trace(cfg, reference, tone, k).samples, cfg)
+            serial = _ratio_to_trace(acc / cfg.sweeps, cfg, pooled.label)
             assert np.array_equal(pooled.frequencies, serial.frequencies)
             assert np.array_equal(pooled.values_db, serial.values_db)
-
-    def test_hann_window_is_cached_read_only(self):
-        window, sum_sq = _hann(5000)
-        assert _hann(5000)[0] is window
-        assert not window.flags.writeable
-        assert sum_sq == np.sum((0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(5000) / 5000)) ** 2)
 
     def test_memory_does_not_grow_with_sweeps(self):
         # 500-sample sweeps: what grows with the sweep count is the queue of pending sweeps
@@ -350,7 +343,7 @@ class TestDeterminism:
         target = flat_trace(-3.2, default_frequency_grid(1e6, 45e6, 1e6))
         references = [(None, TraceLabel.SHOT_NOISE), (target, TraceLabel.SQUEEZED_QUADRATURE)]
         cfg = cfg_with(duration=duration, sweeps=2)
-        averaged_psd(cfg_with(duration=1e-4, sweeps=1), target)  # warm-up: the cached window
+        averaged_psd(cfg_with(duration=1e-4, sweeps=1), target)  # warm-up: numpy's lazy random and fft imports
 
         def peak_per_sample(psd):
             tracemalloc.start()
@@ -368,6 +361,17 @@ class TestDeterminism:
         a = synthesize_trace(cfg_with(seed=1))
         b = synthesize_trace(cfg_with(seed=2))
         assert not np.array_equal(a.samples, b.samples)
+
+
+class TestClassifyTone:
+    def test_hidden(self):
+        assert classify_tone(-5.0, -3.2) is ToneVisibility.HIDDEN
+
+    def test_revealed(self):
+        assert classify_tone(-1.0, -3.2) is ToneVisibility.REVEALED_BY_SQUEEZING
+
+    def test_classical(self):
+        assert classify_tone(1.0, -3.2) is ToneVisibility.VISIBLE_CLASSICALLY
 
 
 class TestElectronicFloor:
