@@ -78,7 +78,7 @@ def holevo_bound(nbar):
     return np.where(n == 0.0, 0.0, bits)[()]
 
 
-def default_nbar_grid(start: float = 0.01, stop: float = 10.0, points: int = 200):
+def default_nbar_grid(start: float, stop: float, points: int):
     return np.geomspace(start, stop, points)
 
 

@@ -64,10 +64,7 @@ def free_spectral_range(c: CavityParams) -> float:
 def finesse(c: CavityParams) -> float:
     """Mirror-limited finesse pi*(R1*R2)^(1/4) / (1 - sqrt(R1*R2))."""
     rr = c.mirror_R1 * c.mirror_R2
-    root = math.sqrt(rr)
-    if root >= 1.0:
-        raise ValueError("R1*R2 must be < 1")
-    return math.pi * rr**0.25 / (1.0 - root)
+    return math.pi * rr**0.25 / (1.0 - math.sqrt(rr))
 
 
 def fwhm(c: CavityParams) -> float:

@@ -108,22 +108,3 @@ def db_to_ratio(d: float) -> float:
         return math.pow(10.0, d / 10.0)
     except OverflowError:
         raise ValueError(f"must give a finite power ratio, got {d} dB") from None
-
-
-def composite_detection_efficiency(
-    quantum_efficiency: float,
-    homodyne_contrast: float,
-    propagation_efficiency: float,
-) -> float:
-    """Total detection efficiency eta = QE * contrast^2 * propagation.
-
-    The homodyne fringe contrast enters squared (mode-overlap convention).
-    """
-    for name, val in (
-        ("quantum_efficiency", quantum_efficiency),
-        ("homodyne_contrast", homodyne_contrast),
-        ("propagation_efficiency", propagation_efficiency),
-    ):
-        if not (0.0 < val <= 1.0):
-            raise ValueError(f"{name} must be in (0, 1], got {val}")
-    return quantum_efficiency * homodyne_contrast**2 * propagation_efficiency

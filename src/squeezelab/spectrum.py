@@ -71,22 +71,21 @@ class DetectionChain:
     phase_jitter_rms: float = 0.0  # radians
 
     def __post_init__(self):
-        if not (0.0 < self.escape_efficiency <= 1.0):
-            raise ValueError("escape_efficiency must be in (0, 1]")
+        for name in ("quantum_efficiency", "homodyne_contrast", "propagation_efficiency", "escape_efficiency"):
+            value = getattr(self, name)
+            if not (0.0 < value <= 1.0):
+                raise ValueError(f"{name} must be in (0, 1], got {value}")
         # the antisqueezed quadrature sits pi/2 - sigma from the squeezed axis
         if not (0.0 <= self.phase_jitter_rms <= math.pi / 2):
             raise ValueError(f"phase_jitter_rms must be in [0, pi/2], got {self.phase_jitter_rms}")
-        if not self.total_efficiency > 0.0:  # also validates the three detection factors
+        if not self.total_efficiency > 0.0:
             raise ValueError("quantum_efficiency, homodyne_contrast, propagation_efficiency and "
                              "escape_efficiency must give a total_efficiency > 0; their product underflows")
 
     @property
     def detection_efficiency(self) -> float:
-        return gaussian.composite_detection_efficiency(
-            self.quantum_efficiency,
-            self.homodyne_contrast,
-            self.propagation_efficiency,
-        )
+        """eta = QE * contrast^2 * propagation; the fringe contrast enters squared (mode overlap)."""
+        return self.quantum_efficiency * self.homodyne_contrast**2 * self.propagation_efficiency
 
     @property
     def total_efficiency(self) -> float:
@@ -207,10 +206,10 @@ def detected_variance(
 def detected_spectrum(
     op: OpaOperatingPoint,
     chain: DetectionChain,
-    omega_grid=None,
+    omega_grid,
     quadrature: TraceLabel = TraceLabel.SQUEEZED_QUADRATURE,
 ) -> SpectrumTrace:
     """Detected spectrum over a frequency grid, in dB relative to shot noise."""
-    freqs = np.asarray(default_frequency_grid() if omega_grid is None else omega_grid, dtype=float)
+    freqs = np.asarray(omega_grid, dtype=float)
     values = gaussian.ratio_to_db(detected_variance(op, chain, freqs, quadrature))
     return SpectrumTrace(freqs, values, quadrature)

@@ -122,7 +122,6 @@ class PhotocurrentTrace:
     """Shot-noise-normalized photocurrent samples (unit white variance = shot)."""
 
     samples: np.ndarray
-    sample_rate: float
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -253,7 +252,7 @@ def synthesize_trace(
         np.multiply(workspace.draw, gain, out=out)
     if wave is not None:
         out += wave
-    return PhotocurrentTrace(out[warmup:], cfg.sample_rate)
+    return PhotocurrentTrace(out[warmup:])
 
 
 def _welch_ratio(x: np.ndarray, cfg: TraceConfig, workspace: _Workspace | None = None) -> np.ndarray:
@@ -294,13 +293,9 @@ def _ratio_to_trace(ratio: np.ndarray, cfg: TraceConfig, label: TraceLabel) -> S
     return SpectrumTrace(freqs, 10.0 * np.log10(ratio), label)
 
 
-def estimate_psd(
-    trace: PhotocurrentTrace,
-    cfg: TraceConfig,
-    label: TraceLabel = TraceLabel.SHOT_NOISE,
-) -> SpectrumTrace:
-    """Averaged-periodogram PSD of one trace, in dB relative to shot noise."""
-    return _ratio_to_trace(_welch_ratio(trace.samples, cfg), cfg, label)
+def estimate_psd(trace: PhotocurrentTrace, cfg: TraceConfig) -> SpectrumTrace:
+    """Averaged-periodogram PSD of one trace, sampled at `cfg.sample_rate`, in dB relative to shot noise."""
+    return _ratio_to_trace(_welch_ratio(trace.samples, cfg), cfg, TraceLabel.SHOT_NOISE)
 
 
 def averaged_psd(

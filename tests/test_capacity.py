@@ -142,7 +142,7 @@ class TestCurveSuite:
         )
 
     def test_paper_ordering(self):
-        grid = default_nbar_grid()
+        grid = default_nbar_grid(0.01, 10.0, 200)
         curves = {c.bound_kind: c for c in curve_suite(grid, R_PAPER)}
         coh = curves[BoundKind.COHERENT].capacities
         det = curves[BoundKind.COHERENT_WITH_SQUEEZED_DETECTION].capacities

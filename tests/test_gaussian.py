@@ -9,13 +9,12 @@ from squeezelab.gaussian import (
     QuadratureState,
     apply_loss,
     apply_phase_jitter,
-    composite_detection_efficiency,
     db_to_ratio,
     ratio_to_db,
     variance_at,
 )
 
-ETA_TOTAL = 0.95 * 0.96**2 * 0.94  # composite detection efficiency, ~0.823
+ETA_TOTAL = 0.95 * 0.96**2 * 0.94  # the preset chain's QE * contrast^2 * propagation, ~0.823
 
 
 def phase_state(r):
@@ -177,9 +176,3 @@ class TestArrays:
         with pytest.raises(ValueError):
             apply_phase_jitter(0.5, 1.0, np.array([0.1, -0.1]))
 
-
-def test_composite_efficiency_validates_factors():
-    with pytest.raises(ValueError):
-        composite_detection_efficiency(1.1, 0.96, 0.94)
-    with pytest.raises(ValueError):
-        composite_detection_efficiency(0.95, 0.0, 0.94)

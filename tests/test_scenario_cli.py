@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import inspect
 import io
@@ -194,6 +195,8 @@ CONFIG_ERRORS = [
     (["trace", "--set", "cavity.geometric_length=1e308"], "cavity.geometric_length"),
     (["cavity", "--set", "cavity.crystal_length=0", "--set", "cavity.geometric_length=5e-324"],
      "cavity.geometric_length"),  # FSR inf
+    (["spectrum", "--set", "chain.quantum_efficiency=1.5"], "chain.quantum_efficiency"),
+    (["spectrum", "--set", "chain.propagation_efficiency=0"], "chain.propagation_efficiency"),
     (["spectrum", "--set", "chain.homodyne_contrast=1e-200"], "chain.homodyne_contrast"),  # eta 0
     (["spectrum", "--set", "chain.escape_efficiency=5e-324", "--set", "chain.homodyne_contrast=0.5"],
      "chain.escape_efficiency"),  # escape * detection underflows to 0
@@ -559,12 +562,55 @@ class TestOutputWriter:
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 
-@pytest.mark.parametrize("script, pairs", [
-    ("reproduce_squeezing_spectrum.py", 5),
-    ("reproduce_modulation_detection.py", 1),
-    ("reproduce_capacity_curves.py", 2),
-])
-def test_script_writes_its_outputs(tmp_path, script, pairs):
+def read_rows(path: Path) -> list[dict[str, str]]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def read_meta(csv_path: Path) -> dict[str, str]:
+    """The `.meta` sidecar of `csv_path` as a mapping of its `key = value` lines."""
+    return dict(line.split(" = ", 1) for line in csv_path.with_suffix(".meta").read_text().splitlines())
+
+
+def check_squeezing_outputs(out: Path) -> None:
+    # criteria 1 and 5: the cavity's finesse and threshold
+    cavity = {row["quantity"]: float(row["value"]) for row in read_rows(next(out.glob("cavity-*.csv")))}
+    assert cavity["finesse"] == pytest.approx(122.3, abs=0.5)
+    assert cavity["threshold_power_w"] == pytest.approx(0.163, abs=0.001)
+    # criteria 3 and 4: both bright-beam corrections
+    corrected = {row["mode"]: float(row["corrected_db"])
+                 for path in out.glob("correct-*.csv") for row in read_rows(path)}
+    assert corrected["blocked"] == pytest.approx(-4.16, abs=0.01)
+    assert corrected["equal-power"] == pytest.approx(-3.17, abs=0.005)
+    # criterion 6: the estimate against what it was shaped to, the target
+    # column plus the electronic floor (the column omits the floor)
+    trace_csv = next(out.glob("trace-*.csv"))
+    estimate, target = read_traces_csv(trace_csv)
+    e = db_to_ratio(float(read_meta(trace_csv)["trace.electronic_floor_db"]))
+    f = estimate.frequencies
+    band = (f >= 3e6) & (f <= 20e6)
+    shaped_db = 10 * np.log10(target.ratio_at(f[band]) + e)
+    assert np.max(np.abs(estimate.values_db[band] - shaped_db)) < 0.3
+
+
+def check_capacity_outputs(out: Path) -> None:
+    # criterion 8 at the paper's r; the r = 0 collapse is test_capacity_r_zero_collapses
+    [curves_csv] = [p for p in out.glob("capacity-*.csv") if read_meta(p)["capacity.squeeze_r"] == "0.3776"]
+    bits: dict[str, list[float]] = {}
+    for row in read_rows(curves_csv):
+        bits.setdefault(row["bound_kind"], []).append(float(row["capacity_bits"] or "nan"))  # a gap is empty
+    coh, det, hol = (np.array(bits[kind]) for kind in ("coherent", "coherent_with_squeezed_detection", "holevo"))
+    assert np.all(coh <= det) and np.all(det <= hol)
+
+
+# each script's CSVs are read back against the criteria they reproduce;
+# criterion 7 on the modulation script is test_modulation_script_buries_the_tone_only_classically
+@pytest.mark.parametrize("script, pairs, check", [
+    ("reproduce_squeezing_spectrum.py", 5, check_squeezing_outputs),
+    ("reproduce_modulation_detection.py", 1, None),
+    ("reproduce_capacity_curves.py", 2, check_capacity_outputs),
+], ids=["reproduce_squeezing_spectrum.py-5", "reproduce_modulation_detection.py-1", "reproduce_capacity_curves.py-2"])
+def test_script_writes_its_outputs(tmp_path, script, pairs, check):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / script), str(tmp_path)],
         capture_output=True, text=True, env=src_env(), timeout=300,
@@ -573,6 +619,8 @@ def test_script_writes_its_outputs(tmp_path, script, pairs):
     stems = sorted(p.stem for p in tmp_path.glob("*.csv"))
     assert len(stems) == pairs
     assert stems == sorted(p.stem for p in tmp_path.glob("*.meta"))
+    if check is not None:
+        check(tmp_path)
 
 
 def test_modulation_script_buries_the_tone_only_classically(tmp_path):

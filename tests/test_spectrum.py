@@ -102,6 +102,14 @@ class TestIdealSpectrum:
             assert far < near
 
 
+class TestDetectionChain:
+    def test_each_efficiency_must_be_in_unit_interval(self):
+        for name in ("quantum_efficiency", "homodyne_contrast", "propagation_efficiency", "escape_efficiency"):
+            for value in (0.0, 1.1, math.nan):
+                with pytest.raises(ValueError, match=rf"^{name} must be in \(0, 1\], got {value}$"):
+                    DetectionChain(**{name: value})
+
+
 class TestDetectedSpectrum:
     def test_lossless_matches_ideal(self):
         op = paper_op()

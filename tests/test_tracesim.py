@@ -112,7 +112,7 @@ class TestSynthesize:
 
     def test_rejects_nonfinite_samples(self):
         with pytest.raises(ValueError):
-            PhotocurrentTrace(np.array([1.0, np.inf]), 1e6)
+            PhotocurrentTrace(np.array([1.0, np.inf]))
 
 
 class TestEstimate:
@@ -124,7 +124,7 @@ class TestEstimate:
 
     def test_insufficient_samples(self):
         cfg = cfg_with()
-        trace = PhotocurrentTrace(np.zeros(100), cfg.sample_rate)
+        trace = PhotocurrentTrace(np.zeros(100))
         with pytest.raises(ValueError):
             estimate_psd(trace, cfg)
 
@@ -154,7 +154,7 @@ class TestEstimate:
         cfg = replace(scenario.paper_preset().trace, vbw=vbw)
         t = np.arange(cfg.samples_per_sweep) / cfg.sample_rate
         tone = tone_amplitude_for_db(10.0, cfg) * np.cos(2 * np.pi * 4.5e6 * t)
-        psd = estimate_psd(PhotocurrentTrace(tone, cfg.sample_rate), cfg)
+        psd = estimate_psd(PhotocurrentTrace(tone), cfg)
         assert psd.frequencies[np.argmax(psd.values_db)] == 4.5e6
         assert np.max(psd.values_db) == pytest.approx(displayed_db, abs=1e-9)
 
@@ -182,7 +182,7 @@ class TestWelch:
         x = np.random.default_rng(3).standard_normal(samples)
         ref_f, ref_p = signal.welch(x, fs=cfg.sample_rate, window="hann", nperseg=n,
                                     noverlap=n // 2, detrend=False, scaling="density")
-        freqs = estimate_psd(PhotocurrentTrace(x, cfg.sample_rate), cfg).frequencies
+        freqs = estimate_psd(PhotocurrentTrace(x), cfg).frequencies
         np.testing.assert_array_equal(freqs, ref_f[1:-1])
         np.testing.assert_allclose(_welch_ratio(x, cfg), ref_p[1:-1] * cfg.sample_rate / 2.0, rtol=1e-12)
 
