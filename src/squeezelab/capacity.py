@@ -40,10 +40,8 @@ class CapacityCurve:
 
 
 def capacity_coherent(nbar):
-    """Coherent-encoding, coherent-detection capacity (1/2) log2(1 + 4 nbar)."""
-    n = np.asarray(nbar, dtype=float)
-    _require(n >= 0.0, n, "nbar must be >= 0")
-    return 0.5 * np.log2(1.0 + 4.0 * n)
+    """Coherent-encoding, coherent-detection capacity (1/2) log2(1 + 4 nbar): squeezed detection at r = 0."""
+    return capacity_coherent_squeezed_detection(nbar, 0.0)
 
 
 def capacity_coherent_squeezed_detection(nbar, r: float):
@@ -63,7 +61,7 @@ def capacity_squeezed_encoding(nbar, r: float):
     cost = math.sinh(r) ** 2
     n = np.asarray(nbar, dtype=float)
     _require(n > cost, n, f"nbar must exceed the squeezing photon cost sinh^2(r) = {cost}")
-    return 0.5 * np.log2(1.0 + 4.0 * math.exp(2.0 * r) * (n - cost))
+    return capacity_coherent_squeezed_detection(n - cost, r)
 
 
 def holevo_bound(nbar):

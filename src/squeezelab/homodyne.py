@@ -1,16 +1,21 @@
 """Shot-noise calibration of balanced homodyne detection of a bright squeezed beam.
 
 Because the measured beam is bright (not a squeezed vacuum), its mean field
-adds a shot-noise offset alpha^2 to the difference-photocurrent variance.
-Two correction formulas recover the true squeezed variance exp(-2r) from the
-observed noise ratio, depending on how the shot-noise reference was taken:
-with the bright beam blocked, or with an equal-power classical beam
-substituted for it.
+adds a shot-noise offset p = alpha^2 / beta^2 = P_OPA / P_LO to the
+difference-photocurrent variance.  One correction, observed - p, recovers the
+true squeezed variance exp(-2r) when the shot-noise reference was taken with
+the bright beam blocked.  An equal-power classical reference beam raises that
+reference by 1 + p, so its observed ratio is the blocked one divided by 1 + p.
+The forward maps and corrections take scalars or numpy arrays.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from .gaussian import _require
 
 
 @dataclass(frozen=True)
@@ -32,43 +37,35 @@ class HomodyneConfig:
         return self.opa_power / self.lo_power
 
 
-def blocked_shot_noise_ratio(squeezed_variance: float, power_ratio: float) -> float:
+def blocked_shot_noise_ratio(squeezed_variance, power_ratio):
     """Forward map: observed ratio when shot noise is taken with the beam blocked.
 
     V_sq/V_sn = P_OPA/P_LO + exp(-2r).
     """
-    if squeezed_variance <= 0.0 or power_ratio < 0.0:
-        raise ValueError("need squeezed_variance > 0 and power_ratio >= 0")
-    return power_ratio + squeezed_variance
+    v, p = np.asarray(squeezed_variance, dtype=float), np.asarray(power_ratio, dtype=float)
+    _require(v > 0.0, v, "squeezed_variance must be > 0")
+    _require(p >= 0.0, p, "power_ratio must be >= 0")
+    return p + v
 
 
-def correct_blocked_shot_noise(observed_ratio: float, power_ratio: float) -> float:
+def correct_blocked_shot_noise(observed_ratio, power_ratio):
     """Recover exp(-2r) when the shot-noise reference had the bright beam blocked."""
-    if power_ratio < 0.0:
-        raise ValueError("power_ratio must be >= 0")
-    if observed_ratio <= power_ratio:
-        raise ValueError(
-            "non-physical input: observed ratio must exceed the beam power ratio "
-            f"({observed_ratio} <= {power_ratio})"
-        )
-    return observed_ratio - power_ratio
+    p = np.asarray(power_ratio, dtype=float)
+    _require(p >= 0.0, p, "power_ratio must be >= 0")
+    result = np.asarray(observed_ratio, dtype=float) - p
+    _require((0.0 < result) & (result < math.inf), result,
+             "non-physical input: the corrected variance must lie in (0, inf)")
+    return result
 
 
-def equal_power_shot_noise_ratio(squeezed_variance: float, power_ratio: float) -> float:
+def equal_power_shot_noise_ratio(squeezed_variance, power_ratio):
     """Forward map for an equal-power classical reference beam.
 
     V_sq/V_sn = (alpha^2 + beta^2 exp(-2r)) / (alpha^2 + beta^2).
     """
-    if squeezed_variance <= 0.0 or power_ratio < 0.0:
-        raise ValueError("need squeezed_variance > 0 and power_ratio >= 0")
-    return (power_ratio + squeezed_variance) / (1.0 + power_ratio)
+    return blocked_shot_noise_ratio(squeezed_variance, power_ratio) / (1.0 + power_ratio)
 
 
-def correct_equal_power_shot_noise(observed_ratio: float, power_ratio: float) -> float:
+def correct_equal_power_shot_noise(observed_ratio, power_ratio):
     """Recover exp(-2r) when the reference was an equal-power classical beam."""
-    if power_ratio < 0.0:
-        raise ValueError("power_ratio must be >= 0")
-    result = observed_ratio * (1.0 + power_ratio) - power_ratio
-    if not 0.0 < result < math.inf:
-        raise ValueError(f"non-physical input: corrected variance would be {result}, outside (0, inf)")
-    return result
+    return correct_blocked_shot_noise(observed_ratio * (1.0 + power_ratio), power_ratio)

@@ -88,7 +88,7 @@ class Scenario:
             cavity_hwhm=cavity_mod.fwhm(self.cavity) / 2.0,
         )
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Cross-section consistency checks beyond per-section invariants."""
         self.operating_point()
         # one rule over every frequency a subcommand analyses: 0 < f < Nyquist
@@ -166,7 +166,7 @@ def from_flat(flat: dict[str, object]) -> Scenario:
     a finite float, or `none` for None.  Every refusal raises ScenarioError
     that begins with dotted keys, the one place they are named: a bad value or
     unknown key names itself; a section's refusal, the keys changed from the
-    preset in that section; and a cross-section rule of `Scenario.validate`,
+    preset in that section; and a cross-section rule of `Scenario`,
     every changed key.  The preset is valid, so each refusal names a key.
     """
     base = paper_preset()
@@ -191,12 +191,10 @@ def from_flat(flat: dict[str, object]) -> Scenario:
         except ValueError as exc:
             keys = [key for key in changed if _KEYS[key][0] == section]
             raise ScenarioError(f"{', '.join(keys)}: {exc}") from None
-    scenario = replace(base, **sections)
     try:
-        scenario.validate()
+        return replace(base, **sections)
     except ValueError as exc:
         raise ScenarioError(f"{', '.join(changed)}: {exc}") from None
-    return scenario
 
 
 def serialize(scenario: Scenario) -> str:

@@ -282,11 +282,10 @@ def _welch_ratio(x: np.ndarray, cfg: TraceConfig, workspace: _Workspace | None =
 
 def _ratio_to_trace(ratio: np.ndarray, cfg: TraceConfig, label: TraceLabel) -> SpectrumTrace:
     """VBW-smooth a `_welch_ratio` PSD; return it on its grid in dB relative to shot noise."""
+    # moving mean of m bins, the edge bins repeated beyond either end; m = 1 returns the same bits
     m = cfg.vbw_bins
-    if m > 1:
-        # moving mean of m bins, the edge bins repeated beyond either end
-        padded = np.pad(ratio, (m // 2, (m - 1) // 2), mode="edge")
-        ratio = np.convolve(padded, np.ones(m), "valid") / m
+    padded = np.pad(ratio, (m // 2, (m - 1) // 2), mode="edge")
+    ratio = np.convolve(padded, np.ones(m), "valid") / m
     # clamp for the log: a zero-power bin reads -3000 dB rather than -inf
     ratio = np.maximum(ratio, 1e-300)
     freqs = np.fft.rfftfreq(cfg.segment_length, d=1.0 / cfg.sample_rate)[1:-1]

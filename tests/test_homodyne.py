@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -13,6 +14,13 @@ from squeezelab.homodyne import (
 )
 
 POWER_RATIO = 0.038  # P_OPA / P_LO = 0.16 mW / 4.2 mW
+# elementwise inputs for the array tests: variances or observed ratios, and power ratios
+VALUES, RATIOS = [0.4, 0.7, 1.2, 5.0], [0.0, 0.038, 0.3, 2.38]
+
+
+def assert_elementwise(f):
+    got = f(np.array(VALUES), np.array(RATIOS))
+    np.testing.assert_array_equal(got, [f(v, p) for v, p in zip(VALUES, RATIOS)])
 
 
 def paper_config():
@@ -46,6 +54,12 @@ class TestDifferenceStats:
         var_blocked = blocked_shot_noise_ratio(1.0, blocked.power_ratio) * blocked.lo_power
         assert var_bright == pytest.approx(var_blocked + cfg.opa_power, rel=1e-12)
 
+    @pytest.mark.parametrize("forward", [blocked_shot_noise_ratio, equal_power_shot_noise_ratio])
+    @pytest.mark.parametrize("variance, ratio", [(math.nan, POWER_RATIO), (1.0, math.nan)])
+    def test_forward_maps_reject_nan(self, forward, variance, ratio):
+        with pytest.raises(ValueError):
+            forward(variance, ratio)
+
 
 class TestBlockedCorrection:
     def test_paper_value(self):
@@ -63,6 +77,15 @@ class TestBlockedCorrection:
     def test_rejects_nonphysical(self):
         with pytest.raises(ValueError):
             correct_blocked_shot_noise(0.03, 0.038)
+
+    @pytest.mark.parametrize("observed", [math.nan, math.inf])
+    def test_rejects_nonfinite_observed(self, observed):
+        with pytest.raises(ValueError, match="corrected variance"):
+            correct_blocked_shot_noise(observed, POWER_RATIO)
+
+    @pytest.mark.parametrize("f", [blocked_shot_noise_ratio, correct_blocked_shot_noise])
+    def test_takes_arrays(self, f):
+        assert_elementwise(f)
 
     @given(vn=st.floats(1e-4, 2.0), ratio=st.floats(0.0, 1.0))
     def test_round_trip(self, vn, ratio):
@@ -92,6 +115,10 @@ class TestEqualPowerCorrection:
     def test_rejects_nonphysical(self):
         with pytest.raises(ValueError):
             correct_equal_power_shot_noise(0.03, 0.038)
+
+    @pytest.mark.parametrize("f", [equal_power_shot_noise_ratio, correct_equal_power_shot_noise])
+    def test_takes_arrays(self, f):
+        assert_elementwise(f)
 
     @given(vn=st.floats(1e-4, 2.0), ratio=st.floats(0.0, 1.0))
     def test_round_trip(self, vn, ratio):

@@ -47,7 +47,7 @@ class TestPaperPreset:
         assert chain.detection_efficiency == pytest.approx(0.823, abs=5e-4)
 
     def test_preset_validates(self):
-        paper_preset().validate()
+        paper_preset()
 
     def test_preset_takes_no_arguments(self):
         # trace.seed has one route: from_flat / --set
@@ -102,6 +102,11 @@ class TestConfigFormat:
     def test_cross_field_validation(self):
         with pytest.raises(ScenarioError, match="opa.pump_power"):
             scenario.parse("opa.pump_power = 0.2\n")
+
+    def test_replace_checks_cross_section_rules(self):
+        # a Scenario is checked when it is built, not when a caller remembers to
+        with pytest.raises(ValueError, match="pump_power"):
+            replace(paper_preset(), opa=scenario.OpaConfig(0.2, 0.145))
 
     @pytest.mark.parametrize("key, value, names", [
         ("trace.sample_rate", 50e6, "the spectrum and trace grid top"),
@@ -655,10 +660,18 @@ NO_FLOOR = ["--set", "trace.electronic_floor_db=none"]
     (["trace", "--set", "trace.sweeps=3"], "82cd8202b3dff8dc74858de3627ad9ec0870489b360430a8a81926a0ca5e3534"),
     (["trace", "--set", "trace.sweeps=3", *NO_FLOOR],
      "fb40b237845e567f543a49d1b0eea12824491239055c0df61149b03de9dd6bf7"),
-], ids=["script", "script-no-floor", "trace", "trace-no-floor"])
+    # the analytic subcommands on the preset
+    (["cavity"], "0ee52fa4998ea5b265ed0dce383e23de2942019f3f833a075153df952e15720f"),
+    (["spectrum"], "6abfe948d2408de55bcb5e60f9c9d0b3c09786bd10b7d6cf340e168173f12bae"),
+    (["capacity"], "32de8e914c2120699a4b032310bbde6c6765a36fc7c7a45a49bed62db43b57da"),
+    (["correct", "--observed-db", "-3.75"], "6e50c867656beb3ad2a04fc4838324b67214a99b7bd9c49285dd597671adfbc4"),
+    (["correct", "--observed-db", "-3.0", "--mode", "equal-power"],
+     "b7ba6ab466a4a8871d72222696930532695afc176504fac9340a93b19d46fac9"),
+], ids=["script", "script-no-floor", "trace", "trace-no-floor", "cavity", "spectrum", "capacity",
+        "correct-blocked", "correct-equal-power"])
 def test_csv_bytes_are_pinned(tmp_path, argv, digest):
-    # pins the random stream, the shaping, the periodogram fold and the format
-    if argv[:1] != ["trace"]:
+    # pins the random stream, the shaping, the periodogram fold, the physics and the format
+    if not argv or argv[0].startswith("-"):  # no subcommand: the modulation script's run
         argv = runpy.run_path(str(SCRIPTS / "reproduce_modulation_detection.py"))["ARGV"] + argv
     assert run_cli("--out", str(tmp_path), *argv) == 0
     assert hashlib.sha256(next(tmp_path.glob("*.csv")).read_bytes()).hexdigest() == digest

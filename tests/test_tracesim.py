@@ -186,7 +186,7 @@ class TestWelch:
         np.testing.assert_array_equal(freqs, ref_f[1:-1])
         np.testing.assert_allclose(_welch_ratio(x, cfg), ref_p[1:-1] * cfg.sample_rate / 2.0, rtol=1e-12)
 
-    @pytest.mark.parametrize("vbw", [10e3, 7.5e3, 300.0])  # 3, 4 and 100 bins
+    @pytest.mark.parametrize("vbw", [10e3, 7.5e3, 300.0, None])  # 3, 4, 100 and 1 bins
     def test_vbw_is_edge_clamped_moving_mean(self, vbw):
         cfg = cfg_with(vbw=vbw)
         m = cfg.vbw_bins
