@@ -1,9 +1,9 @@
 """Gaussian channel capacities versus mean photon number.
 
-Covers coherent-state encoding, squeezed-enhanced detection of a coherent
-signal, signal-encoded squeezed beams, and the Holevo bound.  Capacities are
-in bits per channel use; variances in shot-noise units.  The four bounds take
-a scalar or an array of mean photon numbers.
+Covers coherent encoding, squeezed-enhanced detection of a coherent signal,
+signal-encoded squeezed beams and the Holevo bound, in bits per channel use.
+Each takes a scalar or an array of mean photon numbers and refuses nbar = inf;
+the detection law refuses any gain 4 e^{2r} nbar that is not finite.
 """
 from __future__ import annotations
 
@@ -49,6 +49,9 @@ def capacity_coherent_squeezed_detection(nbar, r: float):
     n = np.asarray(nbar, dtype=float)
     _require(n >= 0.0, n, "nbar must be >= 0")
     _require(r >= 0.0, r, "r must be >= 0")
+    top = float(n.max(initial=1.0))  # the gain grows with nbar; the cap: 4 e^{2r} overflows past 2r = 709
+    _require(math.isfinite(4.0 * math.exp(min(2.0 * r, 709.0)) * top), r,
+             f"r must keep 4 exp(2r) nbar finite at nbar = {top:g}")
     return 0.5 * np.log2(1.0 + 4.0 * math.exp(2.0 * r) * n)
 
 
@@ -57,7 +60,7 @@ def capacity_squeezed_encoding(nbar, r: float):
 
     The squeezing itself costs sinh^2(r) photons, so nbar must exceed that.
     """
-    _require(r >= 0.0, r, "r must be >= 0")
+    capacity_coherent_squeezed_detection(0.0, r)  # the law's checks on r, before sinh(r) can overflow
     cost = math.sinh(r) ** 2
     n = np.asarray(nbar, dtype=float)
     _require(n > cost, n, f"nbar must exceed the squeezing photon cost sinh^2(r) = {cost}")
@@ -67,7 +70,7 @@ def capacity_squeezed_encoding(nbar, r: float):
 def holevo_bound(nbar):
     """Holevo capacity (1+n)log2(1+n) - n log2 n, continuously extended to 0 at n=0."""
     n = np.asarray(nbar, dtype=float)
-    _require(n >= 0.0, n, "nbar must be >= 0")
+    _require((n >= 0.0) & (n < math.inf), n, "nbar must be finite and >= 0")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # as log2(1+n) + n log2(1 + 1/n), which does not cancel at large n; below
         # n = 1, where 1/n may overflow, ln(1 + 1/n) is log1p(n) - ln n

@@ -102,9 +102,11 @@ def ratio_to_db(v):
 def db_to_ratio(d: float) -> float:
     """Decibels -> power ratio, inverse of ratio_to_db.
 
-    Raises ValueError when the ratio overflows a float.
+    Raises ValueError when the ratio is not a finite float: for NaN, or on overflow.
     """
     try:
-        return math.pow(10.0, d / 10.0)
+        if d < math.inf:  # false for NaN and inf, which give no finite ratio
+            return math.pow(10.0, d / 10.0)
     except OverflowError:
-        raise ValueError(f"must give a finite power ratio, got {d} dB") from None
+        pass
+    raise ValueError(f"must give a finite power ratio, got {d} dB")

@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from typing import get_type_hints
 
 from . import cavity as cavity_mod
-from .capacity import MAX_NBAR_POINTS
+from .capacity import MAX_NBAR_POINTS, capacity_coherent_squeezed_detection
 from .cavity import CavityParams
 from .homodyne import HomodyneConfig
 from .spectrum import DEFAULT_GRID_STOP, DetectionChain, OpaOperatingPoint
@@ -36,11 +35,7 @@ class CapacityConfig:
             raise ValueError(f"points must be in [2, {MAX_NBAR_POINTS}], got {self.points}")
         if not (0.0 < self.nbar_min < self.nbar_max):
             raise ValueError("nbar_min must satisfy 0 < nbar_min < nbar_max")
-        if self.squeeze_r < 0.0:
-            raise ValueError("squeeze_r must be >= 0")
-        # 4 e^{2r} nbar and e^{2r} must be finite; in logs, so that exp cannot raise
-        if 2.0 * self.squeeze_r + math.log(4.0 * max(self.nbar_max, 1.0)) >= math.log(sys.float_info.max):
-            raise ValueError("4 exp(2 squeeze_r) nbar_max overflows")
+        capacity_coherent_squeezed_detection(self.nbar_max, self.squeeze_r)  # the law's own checks
         # geomspace rounds its values by ~1e-13 relative: far larger steps keep them increasing
         if math.log(self.nbar_max) - math.log(self.nbar_min) < 1e-9 * (self.points - 1):
             raise ValueError(f"the {self.points}-point grid from nbar_min to nbar_max steps by < 1e-9")
@@ -91,14 +86,10 @@ class Scenario:
     def __post_init__(self):
         """Cross-section consistency checks beyond per-section invariants."""
         self.operating_point()
-        # one rule over every frequency a subcommand analyses: 0 < f < Nyquist
-        nyquist = self.trace.sample_rate / 2.0
         for name, freq in (("interfere.tone_frequency", self.interfere.tone_frequency),
                            ("interfere.band_max", self.interfere.band_max),
                            ("the spectrum and trace grid top", DEFAULT_GRID_STOP)):
-            if not 0.0 < freq < nyquist:
-                raise ValueError(f"{name} = {freq:g} Hz must lie in (0, Nyquist), and "
-                                 f"Nyquist = trace.sample_rate / 2 = {nyquist:g} Hz")
+            self.trace.check_frequency(freq, name)
         self.trace.check_level(self.interfere.tone_db_rel_shot, "interfere.tone_db_rel_shot")
 
 
@@ -138,7 +129,7 @@ def _typed(kind, value):
         return int(value) if isinstance(value, str) else operator.index(value)
     if kind == float | None and str(value).strip().lower() == "none":  # also None
         return None
-    return finite_float(value)
+    return finite_float(value) + 0.0  # -0.0 -> 0.0: equal values serialize equally
 
 
 # what a value of each declared field type must be, as error messages say it
@@ -159,6 +150,11 @@ def to_flat(scenario: Scenario) -> dict[str, object]:
     }
 
 
+# built and checked once: every section is frozen, so each from_flat call may share it
+_PRESET = paper_preset()
+_PRESET_FLAT = to_flat(_PRESET)
+
+
 def from_flat(flat: dict[str, object]) -> Scenario:
     """Validated Scenario from dotted keys over the paper preset.
 
@@ -169,8 +165,6 @@ def from_flat(flat: dict[str, object]) -> Scenario:
     preset in that section; and a cross-section rule of `Scenario`,
     every changed key.  The preset is valid, so each refusal names a key.
     """
-    base = paper_preset()
-    preset = to_flat(base)
     changes: dict[str, dict[str, object]] = {}
     changed: list[str] = []
     for key, value in flat.items():
@@ -182,17 +176,17 @@ def from_flat(flat: dict[str, object]) -> Scenario:
         except (TypeError, ValueError, OverflowError):
             raise ScenarioError(f"{key}: expected {_EXPECTED[kind]}, got {value!r}") from None
         changes.setdefault(section, {})[name] = typed
-        if typed != preset[key]:
+        if typed != _PRESET_FLAT[key]:
             changed.append(key)
     sections = {}
     for section, values in changes.items():
         try:
-            sections[section] = replace(getattr(base, section), **values)
+            sections[section] = replace(getattr(_PRESET, section), **values)
         except ValueError as exc:
             keys = [key for key in changed if _KEYS[key][0] == section]
             raise ScenarioError(f"{', '.join(keys)}: {exc}") from None
     try:
-        return replace(base, **sections)
+        return replace(_PRESET, **sections)
     except ValueError as exc:
         raise ScenarioError(f"{', '.join(changed)}: {exc}") from None
 

@@ -94,6 +94,13 @@ class TraceConfig:
         if not math.isfinite(ratio * float(self.segment_length) ** 2):
             raise ValueError(f"{name} must keep the periodogram finite, got {db} dB")
 
+    def check_frequency(self, freq: float, name: str) -> None:
+        """Refuse the frequency `name` unless it lies in (0, Nyquist)."""
+        nyquist = self.sample_rate / 2.0
+        if not 0.0 < freq < nyquist:
+            raise ValueError(f"{name} = {freq:g} Hz must lie in (0, Nyquist), and "
+                             f"Nyquist = trace.sample_rate / 2 = {nyquist:g} Hz")
+
     @property
     def samples_per_sweep(self) -> int:
         return int(round(self.sample_rate * self.duration))
@@ -171,22 +178,17 @@ def _sweep_invariants(
     `samples_per_sweep + segment_length` samples: the gain sqrt(target + floor)
     on its rFFT grid (the scalar sqrt(1 + floor) for a white target) and the
     tone waveform, one array for all (None: no tone)."""
-    nyquist = cfg.sample_rate / 2.0
     total = cfg.samples_per_sweep + cfg.segment_length
     floor = 0.0 if cfg.electronic_floor_db is None else db_to_ratio(cfg.electronic_floor_db)
     gains, wave = [], None
     for target in targets:
-        if target is not None and target.frequencies.size and target.frequencies[-1] >= nyquist:
-            raise ValueError(
-                "under-sampled configuration: target spectrum extends to "
-                f"{target.frequencies[-1]:g} Hz, Nyquist is {nyquist:g} Hz"
-            )
+        if target is not None and target.frequencies.size:
+            cfg.check_frequency(target.frequencies[-1], "the target spectrum top")
         gains.append(math.sqrt(1.0 + floor) if target is None else
                      np.sqrt(target.ratio_at(np.fft.rfftfreq(total, d=1.0 / cfg.sample_rate)) + floor))
     if tone is not None:
         freq, amplitude = tone
-        if freq >= nyquist:
-            raise ValueError(f"tone at {freq:g} Hz is above Nyquist ({nyquist:g} Hz)")
+        cfg.check_frequency(freq, "the tone")
         t = np.arange(total) / cfg.sample_rate
         wave = amplitude * np.cos(2.0 * np.pi * freq * t)
     return [(gain, wave) for gain in gains]

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +42,23 @@ class TestSqueezedDetection:
     def test_zero_photons(self):
         assert capacity_coherent_squeezed_detection(0.0, 2.0) == 0.0
 
+    @pytest.mark.parametrize("bound, args", [
+        (capacity_coherent_squeezed_detection, (1.0, 400.0)),  # e^{2r} overflows
+        (capacity_coherent_squeezed_detection, (1e308, 1.0)),  # 4 e^{2r} nbar overflows
+        (capacity_coherent, (math.inf,)),
+        (capacity_squeezed_encoding, (1e300, 400.0)),  # before sinh^2(r) overflows
+    ])
+    def test_refuses_a_gain_that_is_not_finite(self, bound, args):
+        with pytest.raises(ValueError, match="4 exp\\(2r\\) nbar finite"):
+            bound(*args)
+
+    def test_largest_finite_gain_is_accepted(self):
+        # 4 e^{2r} is finite up to 2r = ln(max float / 4), and the law runs there
+        r = 0.5 * math.log(sys.float_info.max / 4.0) - 1e-9
+        assert math.isfinite(capacity_coherent_squeezed_detection(0.5, r))
+        with pytest.raises(ValueError):
+            capacity_coherent_squeezed_detection(0.5, r + 1e-6)
+
 
 class TestSqueezedEncoding:
     def test_reduces_to_coherent(self):
@@ -81,6 +99,13 @@ class TestHolevo:
     def test_large_n_without_cancellation(self, nbar):
         # (1+n)log2(1+n) - n log2 n = log2 n + 1/ln 2 + O(1/n)
         assert holevo_bound(nbar) == pytest.approx(math.log2(nbar) + 1 / math.log(2), rel=1e-13)
+
+    def test_every_bound_refuses_infinite_nbar(self):
+        for bound in (capacity_coherent, holevo_bound,
+                      lambda n: capacity_coherent_squeezed_detection(n, R_PAPER),
+                      lambda n: capacity_squeezed_encoding(n, R_PAPER)):
+            with pytest.raises(ValueError, match="inf"):
+                bound(math.inf)
 
     def test_subnormal_n_is_tiny_not_inf(self):
         # 1/n overflows below about 5.6e-309; -n log2 n dominates there

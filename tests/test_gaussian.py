@@ -139,6 +139,12 @@ class TestDbConversions:
         with pytest.raises(ValueError):
             ratio_to_db(-1.0)
 
+    @pytest.mark.parametrize("db", [math.nan, math.inf, 4000.0])
+    def test_db_without_a_finite_ratio_is_refused(self, db):
+        # as ratio_to_db refuses NaN, its inverse does not pass NaN on
+        with pytest.raises(ValueError, match="^must give a finite power ratio"):
+            db_to_ratio(db)
+
     @given(v=st.floats(1e-12, 1e12))
     def test_round_trip(self, v):
         assert db_to_ratio(ratio_to_db(v)) == pytest.approx(v, rel=1e-12)

@@ -103,6 +103,15 @@ class TestConfigFormat:
         with pytest.raises(ScenarioError, match="opa.pump_power"):
             scenario.parse("opa.pump_power = 0.2\n")
 
+    def test_from_flat_checks_cross_section_rules_once(self, monkeypatch):
+        # the preset it starts from is built and checked once, not per call
+        calls = []
+        operating_point = scenario.Scenario.operating_point
+        monkeypatch.setattr(scenario.Scenario, "operating_point",
+                            lambda self: calls.append(self) or operating_point(self))
+        scn = scenario.from_flat({"trace.seed": 3})
+        assert calls == [scn]
+
     def test_replace_checks_cross_section_rules(self):
         # a Scenario is checked when it is built, not when a caller remembers to
         with pytest.raises(ValueError, match="pump_power"):
@@ -184,6 +193,7 @@ CONFIG_ERRORS = [
     (["trace", "--set", "trace.electronic_floor_db=3040"], "trace.electronic_floor_db"),
     (["capacity", "--set", "capacity.squeeze_r=355"], "capacity.squeeze_r"),
     (["capacity", "--set", "capacity.nbar_max=1e308"], "capacity.nbar_max"),
+    (["capacity", "--set", "capacity.squeeze_r=-1"], "capacity.squeeze_r"),
     (["capacity", "--set", "capacity.nbar_min=1", "--set", "capacity.nbar_max=1.0000000000000002",
       "--set", "capacity.points=50"], "capacity.nbar_max"),  # geomspace repeats a value
     (["cavity", "--cavity.mirror_R1", "0.99"], "--cavity.mirror_R1"),
@@ -236,6 +246,10 @@ def test_equal_scenarios_share_output_names(tmp_path):
     assert run_cli("cavity", "--out", str(tmp_path)) == 0
     assert run_cli("cavity", "--set", "trace.sample_rate=100000000", "--out", str(tmp_path)) == 0
     assert len(list(tmp_path.glob("cavity-*.csv"))) == 1
+    # -0 equals 0, so it must serialize as 0.0 too
+    for value in ("0", "-0", "-0.0"):
+        assert run_cli("cavity", "--set", f"chain.phase_jitter_rms={value}", "--out", str(tmp_path)) == 0
+    assert len(list(tmp_path.glob("cavity-*.csv"))) == 2
 
 
 def test_largest_philox_seed_runs(tmp_path):

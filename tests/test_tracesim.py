@@ -104,6 +104,9 @@ class TestSynthesize:
     def test_rejects_tone_above_nyquist(self):
         with pytest.raises(ValueError):
             synthesize_trace(cfg_with(), None, (60e6, 0.1))
+        # the one rule is 0 < f < Nyquist, so a tone at 0 Hz is refused too
+        with pytest.raises(ValueError, match="the tone = 0 Hz must lie in \\(0, Nyquist\\)"):
+            synthesize_trace(cfg_with(), None, (0.0, 0.1))
 
     def test_rejects_undersampled_target(self):
         target = flat_trace(0.0, [1e6, 60e6])
