@@ -1,9 +1,10 @@
 """Time-domain photocurrent synthesis and spectrum-analyzer-style PSD estimation.
 
-Noise traces are white Gaussian samples shaped in the frequency domain so
-their one-sided PSD matches a target spectrum (in shot-noise units) plus an
-optional white electronic floor, which is part of the shaping gain rather than
-a second draw; a deterministic modulation tone may be added.  The estimator
+Noise traces are drawn in the frequency domain as the rFFT of white Gaussian
+samples, scaled so their one-sided PSD matches a target spectrum (in
+shot-noise units) plus an optional white electronic floor, which is part of
+the gain rather than a second draw, and brought to the time domain by one
+irFFT; a deterministic modulation tone may be added.  The estimator
 is Welch's averaged periodogram with a periodic Hann window at 50 % overlap,
 whose segment length is set so the window's noise-equivalent bandwidth
 equals the requested RBW; the video bandwidth is a post-detection moving
@@ -12,11 +13,11 @@ average in the power domain.
 Everything is reproducible: the pseudorandom source is a counter-based
 Philox generator keyed by the config seed, with one jump per sweep, so
 identical configs give bit-identical traces and spectra.  A sweep makes one
-white draw for every reference shaped from it and takes one periodogram per
-reference.  Sweeps run on a thread pool and their periodograms are summed in
-sweep order, so the result does not depend on the number of threads.  Each
-worker thread reuses one workspace, sized from the config, holding the Hann
-window and the buffers for the draw, the shaping FFTs and the Welch segments.
+draw for every reference shaped from it and takes one irFFT and one
+periodogram per reference.  Sweeps run on a thread pool and their
+periodograms are summed in sweep order, so the result does not depend on the
+number of threads.  Each worker thread reuses one workspace, sized from the
+config, holding the Hann window and the draw, spectrum, trace and segments.
 """
 from __future__ import annotations
 
@@ -175,17 +176,20 @@ def _sweep_invariants(
     cfg: TraceConfig, targets: list[SpectrumTrace | None], tone: tuple[float, float] | None
 ) -> list[tuple[np.ndarray | float, np.ndarray | None]]:
     """Per target, what every sweep shares over the synthesized block of
-    `samples_per_sweep + segment_length` samples: the gain sqrt(target + floor)
-    on its rFFT grid (the scalar sqrt(1 + floor) for a white target) and the
-    tone waveform, one array for all (None: no tone)."""
+    `total = samples_per_sweep + segment_length` samples: the gain
+    sqrt(total/2 * (target + floor)) on its rFFT grid, which turns a
+    `_draw_spectrum` draw into the block's shaped rFFT (the scalar
+    sqrt(total/2 * (1 + floor)) for a white target), and the tone waveform,
+    one array for all (None: no tone)."""
     total = cfg.samples_per_sweep + cfg.segment_length
+    half = total / 2
     floor = 0.0 if cfg.electronic_floor_db is None else db_to_ratio(cfg.electronic_floor_db)
     gains, wave = [], None
     for target in targets:
         if target is not None and target.frequencies.size:
             cfg.check_frequency(target.frequencies[-1], "the target spectrum top")
-        gains.append(math.sqrt(1.0 + floor) if target is None else
-                     np.sqrt(target.ratio_at(np.fft.rfftfreq(total, d=1.0 / cfg.sample_rate)) + floor))
+        gains.append(math.sqrt(half * (1.0 + floor)) if target is None else
+                     np.sqrt(half * (target.ratio_at(np.fft.rfftfreq(total, d=1.0 / cfg.sample_rate)) + floor)))
     if tone is not None:
         freq, amplitude = tone
         cfg.check_frequency(freq, "the tone")
@@ -197,21 +201,36 @@ def _sweep_invariants(
 class _Workspace:
     """One worker's sweep state for `samples` retained samples of `cfg`, reused
     by every sweep it runs: the periodic Hann window of `segment_length` points
-    and its sum of squares; the white draw; one complex buffer that holds the
-    shaping rFFT and then the segment spectra; the windowed segments; and, for
-    more than one reference, a time-domain buffer for every reference but the
-    last, whose shaped trace is written back into the draw."""
+    and its sum of squares; the draw, the rFFT bins of the `samples +
+    segment_length` synthesized ones; one complex buffer for a reference's
+    shaped spectrum and then its segment spectra; the trace; and the windowed
+    segments.  For one reference the draw is the head of that complex buffer;
+    for more it has its own, kept for the next.  No `references` leaves out
+    the draw and trace (Welch only), no `welch` the segments (synthesis only)."""
 
-    def __init__(self, cfg: TraceConfig, samples: int | None = None, references: int = 1):
+    def __init__(self, cfg: TraceConfig, samples: int | None = None, references: int = 1, welch: bool = True):
         n = cfg.segment_length
         samples = cfg.samples_per_sweep if samples is None else samples
-        total, nseg = samples + n, 1 + (samples - n) // (n - n // 2)
+        total = samples + n
+        nseg = 1 + (samples - n) // (n - n // 2) if welch else 0
+        bins = total // 2 + 1 if references else 0
         self.window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
         self.window_sum_sq = np.sum(self.window**2)
-        self.draw = np.empty(total)
-        self.spectrum = np.empty(max(nseg * (n // 2 + 1), total // 2 + 1), dtype=complex)
+        self.spectrum = np.empty(max(nseg * (n // 2 + 1), bins), dtype=complex)
+        self.draw = self.spectrum[:bins] if references == 1 else np.empty(bins, dtype=complex)
+        self.time = np.empty(total if references else 0)
         self.segments = np.empty((nseg, n))
-        self.time = np.empty(total) if references > 1 else None
+
+
+def _draw_spectrum(cfg: TraceConfig, sweep_index: int, draw: np.ndarray) -> None:
+    """Fill `draw`, the rFFT bins of the sweep's synthesized block, with that
+    block's white noise drawn as its rFFT over sqrt(total/2): each bin's real
+    and imaginary parts unit normals, the real DC and (for an even block)
+    Nyquist bins of variance 2, whose imaginary parts irFFT ignores."""
+    sweep_rng(cfg, sweep_index).standard_normal(2 * draw.size, out=draw.view(float))
+    draw[0] *= math.sqrt(2.0)
+    if (cfg.samples_per_sweep + cfg.segment_length) % 2 == 0:
+        draw[-1] *= math.sqrt(2.0)
 
 
 def synthesize_trace(
@@ -222,7 +241,6 @@ def synthesize_trace(
     *,
     invariants: tuple[np.ndarray | float, np.ndarray | None] | None = None,
     workspace: _Workspace | None = None,
-    out: np.ndarray | None = None,
 ) -> PhotocurrentTrace:
     """One sweep of noise shaped to the target plus the electronic floor, and a tone.
 
@@ -232,10 +250,9 @@ def synthesize_trace(
     and discarded so the retained block is free of the circular-shaping seam.
     A caller synthesizing many sweeps passes `invariants`, an item of
     `_sweep_invariants`, in place of those two, and a `_Workspace` for `cfg`
-    whose `draw` holds the sweep's white draw (a call without one makes a
-    workspace and draws into it from `sweep_rng(cfg, sweep_index)`); it may
-    pass `out`, the array the trace is written to (default: the draw).  The
-    returned samples are a view of `out`.
+    whose `draw` holds the sweep's `_draw_spectrum` draw (a call without one
+    makes a synthesis-only workspace and draws into it).  The returned samples
+    are a view of the workspace's `time`.
     """
     if invariants is None:
         invariants = _sweep_invariants(cfg, [target_spectrum], tone)[0]
@@ -243,15 +260,10 @@ def synthesize_trace(
     warmup = cfg.segment_length
     total = cfg.samples_per_sweep + warmup
     if workspace is None:
-        workspace = _Workspace(cfg)
-        sweep_rng(cfg, sweep_index).standard_normal(total, out=workspace.draw)
-    out = workspace.draw if out is None else out
-    if isinstance(gain, np.ndarray):
-        spec = np.fft.rfft(workspace.draw, out=workspace.spectrum[: total // 2 + 1])
-        spec *= gain
-        np.fft.irfft(spec, n=total, out=out)
-    else:
-        np.multiply(workspace.draw, gain, out=out)
+        workspace = _Workspace(cfg, welch=False)
+        _draw_spectrum(cfg, sweep_index, workspace.draw)
+    spec = np.multiply(workspace.draw, gain, out=workspace.spectrum[: total // 2 + 1])
+    out = np.fft.irfft(spec, n=total, out=workspace.time)
     if wave is not None:
         out += wave
     return PhotocurrentTrace(out[warmup:])
@@ -268,7 +280,7 @@ def _welch_ratio(x: np.ndarray, cfg: TraceConfig, workspace: _Workspace | None =
     n = cfg.segment_length
     if x.size < n:
         raise ValueError(f"insufficient samples: {x.size} < segment of {n}")
-    ws = _Workspace(cfg, x.size) if workspace is None else workspace
+    ws = _Workspace(cfg, x.size, references=0) if workspace is None else workspace
     segments = np.lib.stride_tricks.sliding_window_view(x, n)[:: n - n // 2]
     shape = (len(segments), n // 2 + 1)
     spec = np.fft.rfft(np.multiply(segments, ws.window, out=ws.segments), axis=1,
@@ -310,7 +322,7 @@ def averaged_psd(
 
     Given a list of (target, label) references for `target_spectrum`, it returns
     one PSD per reference, each bit-identical to a one-reference call: a sweep
-    makes one white draw and takes one periodogram per reference.
+    makes one draw and takes one irFFT and one periodogram per reference.
 
     Sweeps run on one thread per CPU; their periodograms are summed in sweep
     order, so the result is bit-identical for any number of threads.
@@ -325,14 +337,9 @@ def averaged_psd(
         ws = getattr(local, "workspace", None)
         if ws is None:
             ws = local.workspace = _Workspace(cfg, references=len(invariants))
-        sweep_rng(cfg, k).standard_normal(ws.draw.size, out=ws.draw)
-        ratios = []
-        for i, inv in enumerate(invariants, 1):
-            # every reference but the last keeps the draw for the next one
-            out = ws.draw if i == len(invariants) else ws.time
-            trace = synthesize_trace(cfg, invariants=inv, workspace=ws, out=out)
-            ratios.append(_welch_ratio(trace.samples, cfg, ws))
-        return ratios
+        _draw_spectrum(cfg, k, ws.draw)
+        return [_welch_ratio(synthesize_trace(cfg, invariants=inv, workspace=ws).samples, cfg, ws)
+                for inv in invariants]
 
     # the CPUs this process may run on
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -664,16 +664,16 @@ def test_modulation_script_buries_the_tone_only_classically(tmp_path):
 NO_FLOOR = ["--set", "trace.electronic_floor_db=none"]
 
 
-# sha256 of CSV outputs: with the electronic floor, unchanged since the floor became
-# part of the shaping gain; without it, since interfere began to share each sweep's draw
+# sha256 of CSV outputs: the analytic ones unchanged since the electronic floor became
+# part of the shaping gain; the synthesized ones since each sweep's noise is drawn as its rFFT
 @pytest.mark.parametrize("argv, digest", [
     # the modulation script's own arguments
-    ([], "26746ee934aa97c24401d06ae1dfcc19e36c66b495d835b7cd4527a1f661df90"),
-    (NO_FLOOR, "66af40eafcb1fbe4d3506ac2ac2078318def6521e4b8b7d9bd8491b42634d99e"),
+    ([], "0d38fdf8e4867b6a830cda13f6dafcbdb848ed41eb1a794cc09473cd8b9af875"),
+    (NO_FLOOR, "f90f05a572b4905dfcf7eee6065fb75563c258dda5ed4949e84e23adffea4fd3"),
     # three sweeps, with and without the preset's electronic floor
-    (["trace", "--set", "trace.sweeps=3"], "82cd8202b3dff8dc74858de3627ad9ec0870489b360430a8a81926a0ca5e3534"),
+    (["trace", "--set", "trace.sweeps=3"], "f3a9487a7ffd1b329db4a1235d3370923ad70df980d1b9110da778739e1ee2ea"),
     (["trace", "--set", "trace.sweeps=3", *NO_FLOOR],
-     "fb40b237845e567f543a49d1b0eea12824491239055c0df61149b03de9dd6bf7"),
+     "d13ad390f5b7918b5d493114d944c2fb6cd756f8932e76eaf599aeed821e8462"),
     # the analytic subcommands on the preset
     (["cavity"], "0ee52fa4998ea5b265ed0dce383e23de2942019f3f833a075153df952e15720f"),
     (["spectrum"], "6abfe948d2408de55bcb5e60f9c9d0b3c09786bd10b7d6cf340e168173f12bae"),
@@ -778,7 +778,9 @@ def test_interfere_draws_each_sweep_once(tmp_path, monkeypatch):
     code = run_cli("interfere", "--out", str(tmp_path), "--set", "trace.sweeps=3", "--set", "trace.duration=1e-4")
     assert code == 0
     assert sorted(drawn) == [0, 1, 2]
-    # one white draw per sweep, with the preset's electronic floor in the shaping gain
+    # one draw per sweep, the real and imaginary parts of the synthesized block's rFFT
+    # bins, with the preset's electronic floor in the shaping gain
     cfg = replace(paper_preset().trace, duration=1e-4)
     assert cfg.electronic_floor_db is not None
-    assert [rng.sizes for rng in drawn.values()] == [[cfg.samples_per_sweep + cfg.segment_length]] * 3
+    total = cfg.samples_per_sweep + cfg.segment_length
+    assert [rng.sizes for rng in drawn.values()] == [[2 * (total // 2 + 1)]] * 3

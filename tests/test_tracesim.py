@@ -89,6 +89,22 @@ class TestSynthesize:
         assert trace.samples.size == cfg.samples_per_sweep
         assert np.var(trace.samples) == pytest.approx(1.0, rel=0.02)
 
+    @pytest.mark.parametrize("duration", [1e-4, 1.0001e-4], ids=["even-block", "odd-block"])
+    def test_drawn_spectrum_has_the_law_of_white_noise(self, duration):
+        # 15 000 synthesized samples have a real Nyquist bin, 15 001 none; both draw 7 501 bins
+        cfg = cfg_with(duration=duration)
+        traces = np.array([synthesize_trace(cfg, sweep_index=k).samples for k in range(400)])
+        samples = traces.shape[1]
+        assert np.mean(traces**2) == pytest.approx(1.0, abs=0.005)
+        assert np.mean(traces[:, 1:] * traces[:, :-1]) == pytest.approx(0.0, abs=0.005)
+        # a sweep's mean and alternating-sign mean have variance 1/samples; they weigh the DC
+        # and Nyquist bins heavily, and read 0.58 and 0.71 on the even block without their sqrt(2)
+        for pattern in (np.ones(samples), (-1.0) ** np.arange(samples)):
+            assert samples * np.mean(np.mean(traces * pattern, axis=1) ** 2) == pytest.approx(1.0, abs=0.2)
+        psd = np.mean([_welch_ratio(trace, cfg) for trace in traces], axis=0)
+        assert np.max(np.abs(psd - 1.0)) < 0.2
+        assert np.mean(psd.reshape(7, -1), axis=1) == pytest.approx(np.ones(7), abs=0.01)
+
     def test_shaped_trace_follows_target(self):
         cfg = cfg_with(duration=1e-3)
         target = flat_trace(-6.0, default_frequency_grid(1e5, 49.9e6, 1e5))
@@ -359,6 +375,28 @@ class TestDeterminism:
         assert peak_per_sample(lambda: averaged_psd(cfg, target)) <= 46
         floor_cfg = replace(cfg, electronic_floor_db=-12.0)
         assert peak_per_sample(lambda: averaged_psd(floor_cfg, references, (4.5e6, 0.01))) <= 62
+
+    def test_one_off_calls_allocate_only_their_buffers(self):
+        # a call without a workspace holds only its own buffers, in bytes
+        cfg = scenario.paper_preset().trace
+        n, total = cfg.segment_length, cfg.samples_per_sweep + cfg.segment_length
+        nseg = 1 + (cfg.samples_per_sweep - n) // (n - n // 2)
+        # the draw's complex bins, the trace and its finiteness mask
+        synthesis = 16 * (total // 2 + 1) + 8 * total + cfg.samples_per_sweep
+        # the windowed segments and their spectra
+        welch = 8 * nseg * n + 16 * nseg * (n // 2 + 1)
+        trace = synthesize_trace(cfg)  # warm-up: numpy's lazy random and fft imports
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: synthesize_trace(cfg)) <= 1.1 * synthesis
+        assert peak(lambda: estimate_psd(trace, cfg)) <= 1.1 * welch
 
     def test_seed_changes_trace(self):
         a = synthesize_trace(cfg_with(seed=1))
