@@ -124,13 +124,17 @@ class SpectrumTrace:
 def write_csv(path, header, blocks) -> None:
     """The one CSV format: the header row, then each block of equal-length
     columns as rows, floats as repr, NaN as an empty cell, "\\r\\n" line ends,
-    and no quoting, since each cell is a number or a fixed name."""
+    and no quoting, since each cell is a number or a fixed name.  Cells are
+    formatted a column chunk at a time, to the same bytes as a cell at a time."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for columns in blocks:
             for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-                cells = [[v if isinstance(v, str) else "" if math.isnan(v) else repr(v)
-                          for v in np.asarray(c[start:start + CSV_CHUNK_ROWS]).tolist()] for c in columns]
+                cells = []
+                for a in (np.asarray(c[start:start + CSV_CHUNK_ROWS]) for c in columns):
+                    text = a.dtype.kind == "U"
+                    col = a.tolist() if text else list(map(repr, a.tolist()))
+                    cells.append(["" if v == "nan" else v for v in col] if not text and "nan" in col else col)
                 fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 

@@ -11,8 +11,9 @@ equals the requested RBW; the video bandwidth is a post-detection moving
 average in the power domain.
 
 Everything is reproducible: the pseudorandom source is a counter-based
-Philox generator keyed by the config seed, with one jump per sweep, so
-identical configs give bit-identical traces and spectra.  A sweep makes one
+Philox generator keyed by the config seed whose counter's top 128 bits are
+the sweep index, the same stream as `jumped(sweep_index)`, so identical
+configs give bit-identical traces and spectra.  A sweep makes one
 draw for every reference shaped from it and takes one irFFT and one
 periodogram per reference.  Sweeps run on a thread pool and their
 periodograms are summed in sweep order, so the result does not depend on the
@@ -138,8 +139,9 @@ class PhotocurrentTrace:
 
 
 def sweep_rng(cfg: TraceConfig, sweep_index: int) -> np.random.Generator:
-    """Independent, reproducible generator for one sweep."""
-    return np.random.Generator(np.random.Philox(key=cfg.seed).jumped(sweep_index))
+    """Independent, reproducible generator for one sweep: Philox keyed by the seed, the sweep
+    index the counter's top 128 bits, the stream of `Philox(key=seed).jumped(sweep_index)`."""
+    return np.random.Generator(np.random.Philox(key=cfg.seed, counter=sweep_index << 128))
 
 
 def tone_amplitude_for_db(db_rel_shot: float, cfg: TraceConfig) -> float:
@@ -281,7 +283,9 @@ def _welch_ratio(x: np.ndarray, cfg: TraceConfig, workspace: _Workspace | None =
     if x.size < n:
         raise ValueError(f"insufficient samples: {x.size} < segment of {n}")
     ws = _Workspace(cfg, x.size, references=0) if workspace is None else workspace
-    segments = np.lib.stride_tricks.sliding_window_view(x, n)[:: n - n // 2]
+    step = n - n // 2  # the 50 %-overlap segments as one read-only view, cheaper than sliding_window_view
+    segments = np.lib.stride_tricks.as_strided(
+        x, (1 + (x.size - n) // step, n), (step * x.strides[0], x.strides[0]), writeable=False)
     shape = (len(segments), n // 2 + 1)
     spec = np.fft.rfft(np.multiply(segments, ws.window, out=ws.segments), axis=1,
                        out=ws.spectrum[: shape[0] * shape[1]].reshape(shape))

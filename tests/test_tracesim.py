@@ -18,6 +18,7 @@ from squeezelab.tracesim import (
     averaged_psd,
     classify_tone,
     estimate_psd,
+    sweep_rng,
     synthesize_trace,
     tone_amplitude_for_db,
 )
@@ -216,6 +217,25 @@ class TestWelch:
                 for i in range(ratio.size)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("rbw", [30e3, 1.5e8 / 4999])  # segments of 5000 and 4999 samples
+    @pytest.mark.parametrize("layout", ["every_other", "reversed", "element_offset", "unaligned"])
+    def test_strided_inputs_match_contiguous(self, rbw, layout):
+        cfg = cfg_with(rbw=rbw)
+        samples = 3 * cfg.segment_length + 7  # five segments and a leftover shorter than a step
+        base = np.random.default_rng(11).standard_normal(2 * samples + 3)
+        if layout == "every_other":
+            x = base[::2][:samples]
+        elif layout == "reversed":
+            x = base[::-1][:samples]
+        elif layout == "element_offset":
+            x = base[3:3 + samples]
+        else:  # float64s starting one byte past an aligned address
+            buf = bytearray(8 * samples + 1)
+            x = np.frombuffer(buf, dtype=float, count=samples, offset=1)
+            x[:] = base[:samples]
+            assert not x.flags.aligned
+        assert np.array_equal(_welch_ratio(x, cfg), _welch_ratio(np.ascontiguousarray(x), cfg))
+
 
 class TestParseval:
     def test_integrated_psd_matches_variance(self):
@@ -262,6 +282,19 @@ class TestAveraging:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("seed", [0, 1, 2**128 - 1])
+    @pytest.mark.parametrize("k", [0, 1, 7, 2**20])
+    def test_sweep_stream_is_the_jumped_stream(self, seed, k):
+        got = sweep_rng(cfg_with(seed=seed), k)
+        want = np.random.Generator(np.random.Philox(key=seed).jumped(k))
+        got_state, want_state = got.bit_generator.state, want.bit_generator.state
+        for state in (got_state, want_state):
+            state.update(state.pop("state"))  # the counter and key arrays sit one level down
+        assert got_state.keys() == want_state.keys()
+        for name in want_state:
+            assert np.array_equal(got_state[name], want_state[name]), name
+        assert np.array_equal(got.standard_normal(1001), want.standard_normal(1001))
+
     def test_traces_bit_identical_under_fixed_seed(self):
         cfg = cfg_with()
         a = synthesize_trace(cfg, None, (4.5e6, 0.01), sweep_index=3)
