@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 import threading
 from collections import deque
@@ -141,7 +142,7 @@ class PhotocurrentTrace:
 def sweep_rng(cfg: TraceConfig, sweep_index: int) -> np.random.Generator:
     """Independent, reproducible generator for one sweep: Philox keyed by the seed, the sweep
     index the counter's top 128 bits, the stream of `Philox(key=seed).jumped(sweep_index)`."""
-    return np.random.Generator(np.random.Philox(key=cfg.seed, counter=sweep_index << 128))
+    return np.random.Generator(np.random.Philox(key=cfg.seed, counter=operator.index(sweep_index) << 128))
 
 
 def tone_amplitude_for_db(db_rel_shot: float, cfg: TraceConfig) -> float:
@@ -280,8 +281,8 @@ def _welch_ratio(x: np.ndarray, cfg: TraceConfig, workspace: _Workspace | None =
     shorter than one step is not used.
     """
     n = cfg.segment_length
-    if x.size < n:
-        raise ValueError(f"insufficient samples: {x.size} < segment of {n}")
+    if x.ndim != 1 or x.size < n:  # the strided view below trusts x.strides[0] as the sample stride
+        raise ValueError(f"need a 1-D trace of at least one segment of {n} samples, got shape {x.shape}")
     ws = _Workspace(cfg, x.size, references=0) if workspace is None else workspace
     step = n - n // 2  # the 50 %-overlap segments as one read-only view, cheaper than sliding_window_view
     segments = np.lib.stride_tricks.as_strided(

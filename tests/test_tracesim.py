@@ -148,6 +148,12 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_psd(trace, cfg)
 
+    def test_refuses_a_trace_that_is_not_1d(self):
+        cfg = cfg_with()
+        for samples in (np.zeros((2, 12 * cfg.segment_length)), np.zeros((12 * cfg.segment_length, 1))):
+            with pytest.raises(ValueError, match="need a 1-D trace"):
+                estimate_psd(PhotocurrentTrace(samples), cfg)
+
     def test_tone_peak_at_rbw_width(self):
         cfg = cfg_with(duration=1e-3, vbw=30e3)
         amp = tone_amplitude_for_db(20.0, cfg)
@@ -283,10 +289,11 @@ class TestAveraging:
 
 class TestDeterminism:
     @pytest.mark.parametrize("seed", [0, 1, 2**128 - 1])
-    @pytest.mark.parametrize("k", [0, 1, 7, 2**20])
+    @pytest.mark.parametrize("k", [0, 1, 7, 2**20, np.int64(7)])
     def test_sweep_stream_is_the_jumped_stream(self, seed, k):
         got = sweep_rng(cfg_with(seed=seed), k)
-        want = np.random.Generator(np.random.Philox(key=seed).jumped(k))
+        # a numpy index gets its int's stream (jumped itself overflows on one)
+        want = np.random.Generator(np.random.Philox(key=seed).jumped(int(k)))
         got_state, want_state = got.bit_generator.state, want.bit_generator.state
         for state in (got_state, want_state):
             state.update(state.pop("state"))  # the counter and key arrays sit one level down
