@@ -15,10 +15,13 @@ Philox generator keyed by the config seed whose counter's top 128 bits are
 the sweep index, the same stream as `jumped(sweep_index)`, so identical
 configs give bit-identical traces and spectra.  A sweep makes one
 draw for every reference shaped from it and takes one irFFT and one
-periodogram per reference.  Sweeps run on a thread pool and their
-periodograms are summed in sweep order, so the result does not depend on the
-number of threads.  Each worker thread reuses one workspace, sized from the
-config, holding the Hann window and the draw, spectrum, trace and segments.
+periodogram per reference.  Consecutive sweeps are grouped into tasks of at
+least `MIN_TASK_SAMPLES` synthesized samples times references.  A call with
+one task, or on one CPU, runs its tasks on the calling thread; otherwise a
+thread per CPU runs them.  The periodograms are summed in sweep order, so
+the result does not depend on the grouping or the number of threads.  Each
+thread reuses one workspace, sized from the config, holding the Hann window
+and the draw, spectrum, trace and segments.
 """
 from __future__ import annotations
 
@@ -41,11 +44,19 @@ RNG_ALGORITHM = "philox4x64"
 # Noise-equivalent bandwidth of the Hann window, in frequency bins.
 HANN_NENB_BINS = 1.5
 
-# Most samples one sweep may synthesize (0.1 s at 100 MS/s).  Each worker
+# Most samples one sweep may synthesize (0.1 s at 100 MS/s).  Each sweep
 # thread's buffers and a call's shaping gains peak at about 45 bytes per
 # synthesized sample for one shaped reference and 61 for two with a tone
-# (tracemalloc), 0.45 and 0.61 GB per worker at this cap.
+# (tracemalloc), 0.45 and 0.61 GB per thread at this cap.
 MAX_SAMPLES_PER_SWEEP = 10_000_000
+
+# Least work, in synthesized samples times shaped references, that
+# `averaged_psd` hands to a pool thread as one task of consecutive sweeps.  On
+# a 2-vCPU host a pool task cost about 0.6 ms of CPU beyond its sweeps, half a
+# sweep of 2 x 10 000 samples: 10 such sweeps took 19.0 ms of CPU as one task
+# each on two threads and 13.1 ms on the calling thread.  2**18 was picked from
+# 2**16..2**20 on the benchmark's two tracesim workloads (BENCH_task_grouping.json).
+MIN_TASK_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,15 @@ class TraceConfig:
     electronic_floor_db: float | None = None  # dB rel. shot; None = no electronic noise
 
     def __post_init__(self):
+        for name in ("sweeps", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        for name in ("sample_rate", "duration", "rbw", "vbw"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sample_rate <= 0.0 or self.duration <= 0.0:
             raise ValueError("sample_rate and duration must be > 0")
         if self.rbw <= 0.0:
@@ -202,7 +222,7 @@ def _sweep_invariants(
 
 
 class _Workspace:
-    """One worker's sweep state for `samples` retained samples of `cfg`, reused
+    """One sweep thread's state for `samples` retained samples of `cfg`, reused
     by every sweep it runs: the periodic Hann window of `segment_length` points
     and its sum of squares; the draw, the rFFT bins of the `samples +
     segment_length` synthesized ones; one complex buffer for a reference's
@@ -329,34 +349,53 @@ def averaged_psd(
     one PSD per reference, each bit-identical to a one-reference call: a sweep
     makes one draw and takes one irFFT and one periodogram per reference.
 
-    Sweeps run on one thread per CPU; their periodograms are summed in sweep
-    order, so the result is bit-identical for any number of threads.
+    A task is the fewest consecutive sweeps that hold `MIN_TASK_SAMPLES`
+    synthesized samples times references, or the sweeps that remain.  One
+    task, or one CPU, runs on the calling thread with no pool; more tasks run
+    on one thread per CPU, at most two tasks per thread in flight.  A task returns each of
+    its sweeps' periodograms, and they are summed in sweep order, so the result
+    is bit-identical for any grouping and any number of threads.
     """
     single = not isinstance(target_spectrum, list)
     references = [(target_spectrum, label)] if single else target_spectrum
     invariants = _sweep_invariants(cfg, [target for target, _ in references], tone)
 
-    local = threading.local()  # each worker thread's workspace
+    per_sweep = (cfg.samples_per_sweep + cfg.segment_length) * len(invariants)
+    per_task = -(-MIN_TASK_SAMPLES // per_sweep)  # the fewest sweeps that hold MIN_TASK_SAMPLES
+    starts = range(0, cfg.sweeps, per_task)
+    local = threading.local()  # each running thread's workspace
 
-    def sweep(k: int) -> list[np.ndarray]:
+    def task(start: int) -> list[list[np.ndarray]]:
         ws = getattr(local, "workspace", None)
         if ws is None:
             ws = local.workspace = _Workspace(cfg, references=len(invariants))
-        _draw_spectrum(cfg, k, ws.draw)
-        return [_welch_ratio(synthesize_trace(cfg, invariants=inv, workspace=ws).samples, cfg, ws)
-                for inv in invariants]
+        ratios = []
+        for k in range(start, min(start + per_task, cfg.sweeps)):
+            _draw_spectrum(cfg, k, ws.draw)
+            ratios.append([_welch_ratio(synthesize_trace(cfg, invariants=inv, workspace=ws).samples, cfg, ws)
+                           for inv in invariants])
+        return ratios
+
+    accs = [0.0] * len(invariants)
+
+    def fold(ratios: list[list[np.ndarray]]) -> None:
+        for sweep_ratios in ratios:
+            for i, ratio in enumerate(sweep_ratios):
+                accs[i] += ratio
 
     # the CPUs this process may run on
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = min(cpus, cfg.sweeps)
-    ahead = 2 * threads  # sweeps in flight; Executor.map would queue all of them at once
-    accs = [0.0] * len(invariants)
-    with ThreadPoolExecutor(threads) as ex:
-        pending = deque(ex.submit(sweep, k) for k in range(min(ahead, cfg.sweeps)))
-        for k in range(ahead, cfg.sweeps + ahead):
-            for i, ratio in enumerate(pending.popleft().result()):
-                accs[i] += ratio
-            if k < cfg.sweeps:
-                pending.append(ex.submit(sweep, k))
+    threads = min(cpus, len(starts))
+    if threads == 1:  # one task or one CPU: the caller runs the tasks, no thread handoff
+        for start in starts:
+            fold(task(start))
+    else:
+        ahead = 2 * threads  # tasks in flight; Executor.map would queue all of them at once
+        with ThreadPoolExecutor(threads) as ex:
+            pending = deque(ex.submit(task, start) for start in starts[:ahead])
+            for j in range(ahead, len(starts) + ahead):
+                fold(pending.popleft().result())
+                if j < len(starts):
+                    pending.append(ex.submit(task, starts[j]))
     psds = [_ratio_to_trace(a / cfg.sweeps, cfg, lab) for a, (_, lab) in zip(accs, references)]
     return psds[0] if single else psds

@@ -39,8 +39,35 @@ def cfg_with(**overrides):
 
 
 def use_cpus(monkeypatch, n):
-    """Let averaged_psd see `n` CPUs: it runs min(n, sweeps) worker threads."""
+    """Let averaged_psd see `n` CPUs: it runs min(n, tasks) threads."""
     monkeypatch.setattr(tracesim.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def serial_fold(cfg, reference, tone, label):
+    """The sweep-averaged PSD as one loop: each sweep's periodogram added in sweep order."""
+    acc = 0.0
+    for k in range(cfg.sweeps):
+        acc = acc + _welch_ratio(synthesize_trace(cfg, reference, tone, k).samples, cfg)
+    return _ratio_to_trace(acc / cfg.sweeps, cfg, label)
+
+
+def tasks_of(monkeypatch, sweeps, cfg, references):
+    """Let averaged_psd group `sweeps` sweeps of `cfg` with `references` shaped references per task."""
+    work = (cfg.samples_per_sweep + cfg.segment_length) * references
+    monkeypatch.setattr(tracesim, "MIN_TASK_SAMPLES", sweeps * work)
+
+
+def count_tasks(monkeypatch):
+    """Record the start sweep of each task averaged_psd hands to its thread pool."""
+    submitted = []
+
+    class CountingExecutor(tracesim.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(tracesim, "ThreadPoolExecutor", CountingExecutor)
+    return submitted
 
 
 class TestConfig:
@@ -69,6 +96,20 @@ class TestConfig:
     def test_rejects_sweeps_too_large_and_negative_seed(self, overrides, field):
         with pytest.raises(ValueError, match=f"^{field} "):
             cfg_with(**overrides)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sweeps", 2.0), ("sweeps", 2.5), ("sweeps", float("nan")), ("seed", 1.5), ("seed", 1.0),
+    ])
+    def test_refuses_non_integer_sweeps_and_seed(self, field, value):
+        # seed=1.5 used to give seed 1's stream, and a float sweep count failed in averaged_psd
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}"):
+            cfg_with(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["sample_rate", "duration", "rbw", "vbw"])
+    def test_refuses_non_finite_fields_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}"):
+            cfg_with(**{field: value})
 
     def test_level_must_keep_the_periodogram_finite(self):
         # ratio * segment_length**2: 1e300 * 2.5e7 is finite, 1e304 * 2.5e7 is not
@@ -333,15 +374,56 @@ class TestDeterminism:
         assert threading.active_count() == threads
         assert [coherent.label, squeezed.label] == [label for _, label in references]
         for pooled, reference in [(single, target), (coherent, None), (squeezed, target)]:
-            acc = 0.0
-            for k in range(cfg.sweeps):
-                acc = acc + _welch_ratio(synthesize_trace(cfg, reference, tone, k).samples, cfg)
-            serial = _ratio_to_trace(acc / cfg.sweeps, cfg, pooled.label)
+            serial = serial_fold(cfg, reference, tone, pooled.label)
             assert np.array_equal(pooled.frequencies, serial.frequencies)
             assert np.array_equal(pooled.values_db, serial.values_db)
 
-    def test_memory_does_not_grow_with_sweeps(self):
-        # 500-sample sweeps: what grows with the sweep count is the queue of pending sweeps
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_grouped_tasks_equal_serial_fold(self, monkeypatch, cpus):
+        # 7 sweeps in tasks of 3, 3 and 1, run on 2 or 3 pool threads
+        scn = scenario.paper_preset()
+        target = detected_spectrum(scn.operating_point(), scn.chain, default_frequency_grid())
+        cfg = cfg_with(sweeps=7, electronic_floor_db=-12.0)
+        tone = (4.5e6, tone_amplitude_for_db(-1.0, cfg))
+        references = [(None, TraceLabel.SHOT_NOISE), (target, TraceLabel.SQUEEZED_QUADRATURE)]
+        tasks_of(monkeypatch, 3, cfg, len(references))
+        use_cpus(monkeypatch, cpus)
+        submitted = count_tasks(monkeypatch)
+        psds = averaged_psd(cfg, references, tone)
+        assert submitted == [(0,), (3,), (6,)]
+        for pooled, (reference, label) in zip(psds, references):
+            serial = serial_fold(cfg, reference, tone, label)
+            assert np.array_equal(pooled.values_db, serial.values_db)
+
+    def test_one_task_runs_on_the_calling_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(tracesim, "ThreadPoolExecutor", no_pool)
+        use_cpus(monkeypatch, 2)
+        # the single-segment interfere run: 10 sweeps of one segment, both references in one task
+        cfg = replace(scenario.paper_preset().trace, duration=5e-5, sweeps=10)
+        references = [(None, TraceLabel.SHOT_NOISE), (flat_trace(-3.2, default_frequency_grid()),
+                                                      TraceLabel.SQUEEZED_QUADRATURE)]
+        assert 10 * 2 * (cfg.samples_per_sweep + cfg.segment_length) <= tracesim.MIN_TASK_SAMPLES
+        tone = (4.5e6, tone_amplitude_for_db(-1.0, cfg))
+        threads = threading.active_count()
+        psds = averaged_psd(cfg, references, tone)
+        assert threading.active_count() == threads
+        for psd, (reference, label) in zip(psds, references):
+            assert np.array_equal(psd.values_db, serial_fold(cfg, reference, tone, label).values_db)
+        # one CPU: several tasks, still on the calling thread
+        use_cpus(monkeypatch, 1)
+        cfg = cfg_with(sweeps=5)
+        tasks_of(monkeypatch, 2, cfg, 1)
+        assert np.array_equal(averaged_psd(cfg).values_db, serial_fold(cfg, None, None, TraceLabel.SHOT_NOISE).values_db)
+
+    def test_memory_does_not_grow_with_sweeps(self, monkeypatch):
+        # 500-sample sweeps: what grows with the sweep count is the queue of pending tasks.
+        # Tasks of 4 sweeps of 1000 synthesized samples (2 for two references) put both
+        # counts past one task, so grouped results in flight are part of both peaks, and
+        # an unbounded queue of 1000 tasks shows.
+        monkeypatch.setattr(tracesim, "MIN_TASK_SAMPLES", 4000)
         target = flat_trace(-3.2, default_frequency_grid(1e6, 45e6, 1e6))
         references = [(None, TraceLabel.SHOT_NOISE), (target, TraceLabel.SQUEEZED_QUADRATURE)]
 
@@ -372,6 +454,8 @@ class TestDeterminism:
             assert (cfg.samples_per_sweep + n) // 2 + 1 > n // 2 + 1
         tone = (4.5e6, tone_amplitude_for_db(-1.0, cfg))
         references = [(None, TraceLabel.SHOT_NOISE), (target, TraceLabel.SQUEEZED_QUADRATURE)]
+        tasks_of(monkeypatch, 2, cfg, len(references))  # tasks of 2, 2 and 1 sweeps
+        submitted = count_tasks(monkeypatch)
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # more thread switches: a buffer shared between workers shows
@@ -381,17 +465,21 @@ class TestDeterminism:
                 runs.append(averaged_psd(cfg, references, tone))
         finally:
             sys.setswitchinterval(interval)
+        assert submitted == [(0,), (2,), (4,)] * 2  # one CPU runs the tasks on the calling thread
         for psds in runs[1:]:
             for first, other in zip(runs[0], psds):
                 assert np.array_equal(first.values_db, other.values_db)
 
     def test_trace_csv_bytes_same_for_1_and_2_threads(self, monkeypatch, tmp_path):
+        # 12 sweeps of 25 000 synthesized samples: two tasks, so two CPUs start a pool
+        submitted = count_tasks(monkeypatch)
         csvs = []
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
             out = tmp_path / str(cpus)
-            assert cli.main(["trace", "--out", str(out), "--set", "trace.sweeps=3", "--set", "trace.duration=2e-4"]) == 0
+            assert cli.main(["trace", "--out", str(out), "--set", "trace.sweeps=12", "--set", "trace.duration=2e-4"]) == 0
             csvs.append(next(out.glob("trace-*.csv")).read_bytes())
+        assert len(submitted) == 2
         assert csvs[0] == csvs[1]
 
     @pytest.mark.parametrize("duration", [1e-3, 1e-2])
