@@ -108,4 +108,4 @@ def curve_suite(nbar_grid, r: float) -> list[CapacityCurve]:
 
 def write_curves_csv(path, curves) -> None:
     write_csv(path, ("nbar", "capacity_bits", "bound_kind"), [
-        (c.nbar_grid, c.capacities, np.broadcast_to(c.bound_kind.value, c.nbar_grid.shape)) for c in curves])
+        (c.nbar_grid, c.capacities, c.bound_kind.value) for c in curves])

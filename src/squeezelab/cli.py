@@ -22,10 +22,18 @@ a `.meta` sidecar with the resolved scenario, seed and RNG algorithm, so any
 result is reproducible from its own metadata.
 Exit codes: 0 success, 1 runtime numeric or write failure, 2 configuration error
 (an unwritable --out is one too, found after the compute).
+
+The argument parser is built once per process, on first use, since building
+costs several times what parsing does; build_parser returns a shallow copy,
+so an attribute set on it (a tracer wrapping parse_known_args) does not stack
+up over later calls.  Parsing writes nothing to the shared parser: --set
+appends to a copy of its default list.
 """
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -154,7 +162,8 @@ _RUNNERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="squeezelab",
         description="Bright phase-squeezed beam simulation and analysis toolkit",
@@ -168,6 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=["blocked", "equal-power"],
                         help="correct: shot-noise reference (default: blocked)")
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser on each call, copied from the one built per process."""
+    return copy.copy(_shared_parser())
 
 
 def resolve_scenario(args) -> Scenario:

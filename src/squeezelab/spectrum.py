@@ -44,15 +44,15 @@ class OpaOperatingPoint:
     cavity_hwhm: float  # Hz, half the cavity FWHM
 
     def __post_init__(self):
-        if self.threshold_power <= 0.0:
-            raise ValueError("threshold_power must be > 0")
+        for name in ("threshold_power", "cavity_hwhm"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be > 0" if value <= 0.0 else f"{name} must be finite, got {value}")
         if not (0.0 <= self.pump_power < self.threshold_power):
             raise ValueError(
                 "pump_power must satisfy 0 <= P_p < P_th (below-threshold), "
                 f"got P_p={self.pump_power}, P_th={self.threshold_power}"
             )
-        if self.cavity_hwhm <= 0.0:
-            raise ValueError("cavity_hwhm must be > 0")
 
     @property
     def pump_ratio_x(self) -> float:
@@ -105,6 +105,9 @@ class SpectrumTrace:
         self.values_db = np.asarray(self.values_db, dtype=float)
         if self.frequencies.shape != self.values_db.shape:
             raise ValueError("frequencies and values_db must have equal length")
+        for name in ("frequencies", "values_db"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.frequencies.size and np.any(np.diff(self.frequencies) <= 0):
             raise ValueError("frequencies must be strictly increasing")
 
@@ -124,24 +127,38 @@ class SpectrumTrace:
 def write_csv(path, header, blocks) -> None:
     """The one CSV format: the header row, then each block of equal-length
     columns as rows, floats as repr, NaN as an empty cell, "\\r\\n" line ends,
-    and no quoting, since each cell is a number or a fixed name.  Cells are
-    formatted a column chunk at a time, to the same bytes as a cell at a time."""
+    and no quoting, since each cell is a number or a fixed name.  A plain
+    `str` column stands for that name on every row of its block.  Cells are
+    formatted a column chunk at a time, to the same bytes as a cell at a time;
+    a chunk whose dtype and bytes equal those of the chunk last formatted in
+    its column position (blocks often share a grid) reuses its cells."""
+    last = {}  # column position -> ((dtype, bytes), cells) of its last formatted chunk
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for columns in blocks:
-            for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            rows = len(next(c for c in columns if not isinstance(c, str)))
+            for start in range(0, rows, CSV_CHUNK_ROWS):
                 cells = []
-                for a in (np.asarray(c[start:start + CSV_CHUNK_ROWS]) for c in columns):
-                    text = a.dtype.kind == "U"
-                    col = a.tolist() if text else list(map(repr, a.tolist()))
-                    cells.append(["" if v == "nan" else v for v in col] if not text and "nan" in col else col)
+                for i, c in enumerate(columns):
+                    if isinstance(c, str):
+                        cells.append([c] * min(CSV_CHUNK_ROWS, rows - start))
+                        continue
+                    a = np.asarray(c[start:start + CSV_CHUNK_ROWS])
+                    # object cells are compared by address, so only plain dtypes are reused
+                    key = None if a.dtype.hasobject else (a.dtype.str, a.tobytes())
+                    if key is None or last.get(i, (None,))[0] != key:
+                        text = a.dtype.kind == "U"
+                        col = a.tolist() if text else list(map(repr, a.tolist()))
+                        last[i] = key, (["" if v == "nan" else v for v in col]
+                                        if not text and "nan" in col else col)
+                    cells.append(last[i][1])
                 fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_traces_csv(path, traces) -> None:
     """Write several traces into one CSV (shared schema, one row per point)."""
     write_csv(path, ("frequency_hz", "value_db", "label"), [
-        (t.frequencies, t.values_db, np.broadcast_to(t.label.value, t.frequencies.shape)) for t in traces])
+        (t.frequencies, t.values_db, t.label.value) for t in traces])
 
 
 def read_traces_csv(path) -> list[SpectrumTrace]:

@@ -12,10 +12,15 @@ from squeezelab.spectrum import CSV_CHUNK_ROWS, SpectrumTrace, TraceLabel, write
 
 
 def row_by_row(header, blocks):
-    """The format a cell at a time: str as given, numbers as repr, NaN as ""."""
+    """The format a cell at a time: str as given, numbers as repr, NaN as "";
+    a plain str column is that str on every row of its block."""
     cell = lambda v: v if isinstance(v, str) else "" if math.isnan(v) else repr(v)
-    rows = [",".join(header)] + [",".join(map(cell, row)) for columns in blocks
-                                 for row in zip(*(np.asarray(c).tolist() for c in columns))]
+
+    def rows_of(columns):
+        n = next(len(c) for c in columns if not isinstance(c, str))
+        return zip(*([c] * n if isinstance(c, str) else np.asarray(c).tolist() for c in columns))
+
+    rows = [",".join(header)] + [",".join(map(cell, row)) for columns in blocks for row in rows_of(columns)]
     return "".join(row + "\r\n" for row in rows).encode()
 
 
@@ -33,6 +38,64 @@ def _nan_around_the_chunk_boundary():
 def test_edge_cases_match_the_row_by_row_format(tmp_path, header, blocks):
     write_csv(tmp_path / "edge.csv", header, blocks)
     assert (tmp_path / "edge.csv").read_bytes() == row_by_row(header, blocks)
+
+
+def _blocks_sharing_a_grid():
+    grid = np.linspace(0.1, 2.0, 7)
+    return [(grid, grid**2, "squeezed"), (grid, -grid, "shot"), (grid.copy(), grid, "copy")]
+
+
+def _columns_equal_but_for_signed_zero_or_nan():
+    # each column differs from the one before only in a zero's sign, a NaN's
+    # place, a cell after the first, or its dtype (an int 0 has a float 0.0's bytes)
+    columns = [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, -0.0],
+               [math.nan, 1.0], [1.0, math.nan], [0.0, 0.0], np.array([0, 0]), [0.0, 5e-324]]
+    return [(np.asarray(c), f"c{i}") for i, c in enumerate(columns)]
+
+
+def _shared_column_over_several_chunks():
+    grid = np.linspace(1.0, 2.0, 3 * CSV_CHUNK_ROWS)
+    level = np.zeros(grid.size)  # equal chunks, one after the other
+    level[-5] = -0.0  # but the last differs in one cell
+    tail_differs = grid.copy()
+    tail_differs[-1] = 3.0
+    return [(grid, level, "a"), (grid, grid * 2, "b"), (tail_differs, level, "c")]
+
+
+def _str_constant_next_to_a_text_column():
+    names = np.array(["finesse", "nan", "fwhm_hz"])
+    return [("label", names, [1.0, math.nan, 3.0]), ("label", names, [4.0, 5.0, 6.0]),
+            ("other", names[::-1], names)]
+
+
+@pytest.mark.parametrize("header, blocks", [
+    (("x", "y", "label"), _blocks_sharing_a_grid()),
+    (("x", "label"), _columns_equal_but_for_signed_zero_or_nan()),
+    (("x", "y", "label"), _shared_column_over_several_chunks()),
+    (("label", "name", "value"), _str_constant_next_to_a_text_column()),
+], ids=["shared-grid", "signed-zero-and-nan", "longer-than-a-chunk", "str-constant"])
+def test_shared_columns_match_the_row_by_row_format(tmp_path, header, blocks):
+    write_csv(tmp_path / "shared.csv", header, blocks)
+    assert (tmp_path / "shared.csv").read_bytes() == row_by_row(header, blocks)
+
+
+def test_object_column_is_formatted_in_each_block(tmp_path):
+    # an object array's bytes are addresses: an equal address need not give an equal cell
+    class Level:
+        value = 0
+
+        def __repr__(self):
+            return str(self.value)
+
+    level = Level()
+
+    def blocks():
+        for value in (1, 2):
+            level.value = value
+            yield (np.array([level], dtype=object), "x")
+
+    write_csv(tmp_path / "object.csv", ("level", "label"), blocks())
+    assert (tmp_path / "object.csv").read_bytes() == b"level,label\r\n1,x\r\n2,x\r\n"
 
 
 def test_str_column_is_written_as_given(tmp_path):

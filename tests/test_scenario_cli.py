@@ -433,6 +433,43 @@ class TestCli:
         assert estimate.frequencies[0] < target.frequencies[-1]
 
 
+class TestParserReuse:
+    """One parser is built per process; each build_parser call returns a copy of it."""
+
+    def test_each_call_returns_a_new_parser(self):
+        first = cli.build_parser()
+        assert first is not cli.build_parser()
+        first.marker = "set on one copy"
+        assert not hasattr(cli.build_parser(), "marker")
+
+    def test_set_pairs_do_not_leak_into_the_next_run(self, tmp_path):
+        argv = ["cavity", "--set", "trace.seed=7", "--set", "opa.pump_power=0.05"]
+        assert run_cli(*argv, "--out", str(tmp_path / "set")) == 0
+        assert run_cli("cavity", "--out", str(tmp_path / "bare")) == 0
+        assert [p.stem for p in (tmp_path / "bare").glob("*.csv")] == ["cavity-8ee5e7657ec1"]
+        assert cli.build_parser().parse_args(["cavity"]).set == []
+
+    def test_correct_flags_do_not_leak_into_the_next_run(self, tmp_path):
+        assert run_cli("correct", "--observed-db", "-3", "--mode", "equal-power", "--out", str(tmp_path)) == 0
+        assert run_cli("cavity", "--out", str(tmp_path)) == 0
+
+    def test_wrapping_each_parser_does_not_stack(self, tmp_path, monkeypatch):
+        # a tracer wraps parse_known_args on every parser it is given; on a
+        # shared parser the wrappers would nest until the recursion limit
+        build_parser = cli.build_parser
+
+        def wrapping_build_parser():
+            parser = build_parser()
+            parse_known_args = parser.parse_known_args
+            parser.parse_known_args = lambda *args, **kwargs: parse_known_args(*args, **kwargs)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", wrapping_build_parser)
+        monkeypatch.setattr(cli, "write_outputs", lambda out_dir, *args: out_dir)  # no file churn
+        for _ in range(3000):
+            assert run_cli("cavity", "--out", str(tmp_path)) == 0
+
+
 class TestOptionPosition:
     def test_options_before_subcommand_take_effect(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -52,6 +52,21 @@ class TestOperatingPoint:
         with pytest.raises(ValueError):
             paper_op(pump=0.2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("threshold_power", math.inf), ("threshold_power", math.nan),
+        ("cavity_hwhm", math.inf), ("cavity_hwhm", math.nan),
+    ])
+    def test_rejects_a_non_finite_threshold_or_linewidth(self, field, value):
+        kwargs = {"threshold": value} if field == "threshold_power" else {"hwhm": value}
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+            paper_op(**kwargs)
+
+    @pytest.mark.parametrize("field", ["threshold_power", "cavity_hwhm"])
+    def test_rejects_a_non_positive_threshold_or_linewidth(self, field):
+        kwargs = {"threshold": 0.0} if field == "threshold_power" else {"hwhm": -1.0}
+        with pytest.raises(ValueError, match=rf"^{field} must be > 0$"):
+            paper_op(**kwargs)
+
 
 class TestIdealSpectrum:
     def test_unpumped_is_shot_limited(self):
@@ -201,6 +216,20 @@ class TestSpectrumTrace:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             SpectrumTrace(np.array([1.0]), np.array([0.0, 1.0]), TraceLabel.SHOT_NOISE)
+
+    @pytest.mark.parametrize("frequencies, values, field", [
+        ([1.0, math.inf], [0.0, 0.0], "frequencies"),
+        ([math.nan, 1.0], [0.0, 0.0], "frequencies"),
+        ([1.0, 2.0], [0.0, math.nan], "values_db"),
+        ([1.0, 2.0], [-math.inf, 0.0], "values_db"),
+    ])
+    def test_rejects_non_finite_points(self, frequencies, values, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite$"):
+            SpectrumTrace(np.array(frequencies), np.array(values), TraceLabel.SHOT_NOISE)
+
+    def test_flat_trace_rejects_a_nan_level(self):
+        with pytest.raises(ValueError, match="^values_db must be finite$"):
+            flat_trace(math.nan, [1.0])
 
     def test_ratio_extrapolates_to_shot_noise_above_band(self):
         trace = flat_trace(-3.0, [1e6, 2e6])
