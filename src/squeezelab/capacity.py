@@ -80,6 +80,8 @@ def holevo_bound(nbar):
 
 
 def default_nbar_grid(start: float, stop: float, points: int):
+    for name, value in (("start", start), ("stop", stop)):
+        _require(0.0 < value < math.inf, value, f"{name} must be finite and > 0")
     return np.geomspace(start, stop, points)
 
 

@@ -43,15 +43,15 @@ def blocked_shot_noise_ratio(squeezed_variance, power_ratio):
     V_sq/V_sn = P_OPA/P_LO + exp(-2r).
     """
     v, p = np.asarray(squeezed_variance, dtype=float), np.asarray(power_ratio, dtype=float)
-    _require(v > 0.0, v, "squeezed_variance must be > 0")
-    _require(p >= 0.0, p, "power_ratio must be >= 0")
+    _require((0.0 < v) & (v < math.inf), v, "squeezed_variance must be finite and > 0")
+    _require((0.0 <= p) & (p < math.inf), p, "power_ratio must be finite and >= 0")
     return p + v
 
 
 def correct_blocked_shot_noise(observed_ratio, power_ratio):
     """Recover exp(-2r) when the shot-noise reference had the bright beam blocked."""
     p = np.asarray(power_ratio, dtype=float)
-    _require(p >= 0.0, p, "power_ratio must be >= 0")
+    _require((0.0 <= p) & (p < math.inf), p, "power_ratio must be finite and >= 0")
     result = np.asarray(observed_ratio, dtype=float) - p
     _require((0.0 < result) & (result < math.inf), result,
              "non-physical input: the corrected variance must lie in (0, inf)")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian
+from .gaussian import _require
 
 # Fig.-2-style default analysis grid: 1-25 MHz in 30 kHz steps.
 DEFAULT_GRID_START = 1e6
@@ -124,35 +125,63 @@ class SpectrumTrace:
         return np.interp(np.asarray(freqs, float), self.frequencies, self.ratio(), right=1.0)
 
 
+def _cells(a: np.ndarray) -> list[str]:
+    """A 1-D chunk's cells: text as given, numbers as repr, NaN as ""."""
+    if a.dtype.kind == "U":
+        return a.tolist()
+    cells = list(map(repr, a.tolist()))
+    return ["" if v == "nan" else v for v in cells] if "nan" in cells else cells
+
+
 def write_csv(path, header, blocks) -> None:
     """The one CSV format: the header row, then each block of equal-length
     columns as rows, floats as repr, NaN as an empty cell, "\\r\\n" line ends,
     and no quoting, since each cell is a number or a fixed name.  A plain
-    `str` column stands for that name on every row of its block.  Cells are
-    formatted a column chunk at a time, to the same bytes as a cell at a time;
-    a chunk whose dtype and bytes equal those of the chunk last formatted in
-    its column position (blocks often share a grid) reuses its cells."""
+    `str` column stands for that name on every row of its block.
+
+    Cells are formatted a column chunk at a time, to the same bytes as a cell
+    at a time.  A constant chunk (a `str`, or one whose bytes repeat its first
+    element's) is one cell folded into the text between the varying columns,
+    and each chunk is one join of those texts and the varying cells.  A chunk
+    whose dtype and bytes equal those of the chunk last formatted in its column
+    position (blocks often share a grid) reuses its cells."""
     last = {}  # column position -> ((dtype, bytes), cells) of its last formatted chunk
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for columns in blocks:
             rows = len(next(c for c in columns if not isinstance(c, str)))
             for start in range(0, rows, CSV_CHUNK_ROWS):
-                cells = []
+                n = min(CSV_CHUNK_ROWS, rows - start)
+                texts, varying = [""], []  # texts[j] precedes varying column j; texts[-1] ends the row
                 for i, c in enumerate(columns):
+                    texts[-1] += "," if i else ""
                     if isinstance(c, str):
-                        cells.append([c] * min(CSV_CHUNK_ROWS, rows - start))
+                        texts[-1] += c
                         continue
                     a = np.asarray(c[start:start + CSV_CHUNK_ROWS])
-                    # object cells are compared by address, so only plain dtypes are reused
+                    # object cells are compared by address, so only plain dtypes are folded or reused
                     key = None if a.dtype.hasobject else (a.dtype.str, a.tobytes())
+                    if key is not None and key[1] == key[1][:a.itemsize] * n:
+                        texts[-1] += _cells(a[:1])[0]
+                        continue
                     if key is None or last.get(i, (None,))[0] != key:
-                        text = a.dtype.kind == "U"
-                        col = a.tolist() if text else list(map(repr, a.tolist()))
-                        last[i] = key, (["" if v == "nan" else v for v in col]
-                                        if not text and "nan" in col else col)
-                    cells.append(last[i][1])
-                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+                        last[i] = key, _cells(a)
+                    varying.append(last[i][1])
+                    texts.append("")
+                texts[-1] += "\r\n"
+                m = len(varying)
+                if not m:
+                    fh.write(texts[0] * n)
+                    continue
+                # row-major cells, each followed by the text up to the next varying cell:
+                # after a row's last one, the row end and the next row's start
+                flat = [texts[m] + texts[0]] * (2 * m * n)
+                for j, cells in enumerate(varying):
+                    flat[2 * j::2 * m] = cells
+                for j in range(1, m):
+                    flat[2 * j - 1::2 * m] = [texts[j]] * n
+                flat[-1] = texts[m]
+                fh.write(texts[0] + "".join(flat))
 
 
 def write_traces_csv(path, traces) -> None:
@@ -188,10 +217,12 @@ def flat_trace(level_db: float, frequencies, label=TraceLabel.SHOT_NOISE) -> Spe
 
 def ideal_spectrum(op: OpaOperatingPoint, omega, quadrature: TraceLabel):
     """Lossless OPA output spectrum at sideband frequency omega (Hz, scalar or array)."""
+    omega = np.asarray(omega, dtype=float)
+    _require(np.isfinite(omega), omega, "omega must be finite")
     x = op.pump_ratio_x
     # a tiny cavity_hwhm overflows w2 to inf, which gives the exact limit S = 1
     with np.errstate(over="ignore"):
-        w2 = (np.asarray(omega, dtype=float) / op.cavity_hwhm) ** 2
+        w2 = (omega / op.cavity_hwhm) ** 2
     if quadrature is TraceLabel.SQUEEZED_QUADRATURE:
         return 1.0 - 4.0 * x / ((1.0 + x) ** 2 + w2)
     if quadrature is TraceLabel.ANTISQUEEZED_QUADRATURE:

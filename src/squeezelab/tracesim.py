@@ -31,7 +31,6 @@ import operator
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -390,6 +389,8 @@ def averaged_psd(
         for start in starts:
             fold(task(start))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # imported here: most runs start no pool
+
         ahead = 2 * threads  # tasks in flight; Executor.map would queue all of them at once
         with ThreadPoolExecutor(threads) as ex:
             pending = deque(ex.submit(task, start) for start in starts[:ahead])

@@ -98,6 +98,48 @@ def test_object_column_is_formatted_in_each_block(tmp_path):
     assert (tmp_path / "object.csv").read_bytes() == b"level,label\r\n1,x\r\n2,x\r\n"
 
 
+@pytest.mark.parametrize("header, blocks", [
+    (("a", "b", "c"), [(np.full(5, 2.5), np.linspace(0.0, 1.0, 5), np.arange(5))]),
+    (("a", "b", "c"), [(np.linspace(0.0, 1.0, 5), np.full(5, 2.5), np.arange(5))]),
+    (("a", "b", "c"), [(np.linspace(0.0, 1.0, 5), np.arange(5), np.full(5, 2.5))]),
+    (("a", "b", "label", "name"), [(np.full(3, 1e-05), np.full(3, 7), "shot", np.array(["x", "x", "x"]))]),
+    (("x", "y", "label"), [(np.linspace(0.0, 1.0, 4), np.full(4, math.nan), "floor")]),
+    (("x", "y", "label"), [(np.linspace(0.0, 1.0, 4), np.array([0.0, -0.0, 0.0, 0.0]), "a"),
+                           (np.linspace(0.0, 1.0, 4), np.full(4, -0.0), "b")]),
+    (("n", "x", "y"), [(np.full(4, 3), np.full(4, 3.0), np.arange(4)),
+                       (np.full(4, 3.0), np.full(4, 3), np.arange(4).view(float))]),  # the ints' bytes
+    (("observed_db", "power_ratio", "mode", "corrected_db"), [
+        ([-3.0], [0.038], ["blocked"], [math.nan]), ([-3.0], [0.038], ["nan"], [-0.0]), ([2], [-0.0], "x", [5e-324])]),
+], ids=["constant-first", "constant-middle", "constant-last", "all-constant", "constant-nan",
+        "signed-zero-among-zeros", "int-next-to-float", "one-row-blocks"])
+def test_constant_columns_match_the_row_by_row_format(tmp_path, header, blocks):
+    write_csv(tmp_path / "constant.csv", header, blocks)
+    assert (tmp_path / "constant.csv").read_bytes() == row_by_row(header, blocks)
+
+
+@pytest.mark.parametrize("rows", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+def test_constant_blocks_across_the_chunk_boundary(tmp_path, rows):
+    grid = np.arange(rows) * 0.5
+    level = np.full(rows, -3.2)
+    blocks = [(grid, level, "shot"), (level, level, "flat")]  # the second block has no varying column
+    write_csv(tmp_path / "blocks.csv", ("x", "y", "label"), blocks)
+    assert (tmp_path / "blocks.csv").read_bytes() == row_by_row(("x", "y", "label"), blocks)
+
+
+def test_object_column_is_never_folded(tmp_path):
+    # one object on every row has one address on every row, but need not give one cell
+    class Count:
+        calls = 0
+
+        def __repr__(self):
+            Count.calls += 1
+            return str(Count.calls)
+
+    count = Count()
+    write_csv(tmp_path / "object.csv", ("count", "label"), [(np.array([count] * 3, dtype=object), "x")])
+    assert (tmp_path / "object.csv").read_bytes() == b"count,label\r\n1,x\r\n2,x\r\n3,x\r\n"
+
+
 def test_str_column_is_written_as_given(tmp_path):
     # only a number column blanks its "nan" cells
     names = ("finesse", "nan", "1e-05", "equal-power")

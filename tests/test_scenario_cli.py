@@ -290,6 +290,20 @@ def test_cli_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_runs_without_a_pool_import_no_thread_pool(tmp_path):
+    # concurrent.futures, and logging with it, is imported only where a pool starts
+    code = """import sys
+from squeezelab import cli
+for argv in (["cavity"], ["spectrum"], ["correct", "--observed-db", "-3"], ["capacity"],
+             ["interfere", "--set", "trace.duration=5e-5", "--set", "trace.sweeps=10"]):
+    assert cli.main([*argv, "--out", sys.argv[1]]) == 0, argv
+assert "concurrent.futures" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestCli:
     def test_cavity_report(self, tmp_path, capsys):
         assert run_cli("cavity", "--out", str(tmp_path)) == 0

@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 import threading
 import tracemalloc
@@ -61,12 +62,12 @@ def count_tasks(monkeypatch):
     """Record the start sweep of each task averaged_psd hands to its thread pool."""
     submitted = []
 
-    class CountingExecutor(tracesim.ThreadPoolExecutor):
+    class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
         def submit(self, fn, *args, **kwargs):
             submitted.append(args)
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(tracesim, "ThreadPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
     return submitted
 
 
@@ -399,7 +400,7 @@ class TestDeterminism:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        monkeypatch.setattr(tracesim, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         use_cpus(monkeypatch, 2)
         # the single-segment interfere run: 10 sweeps of one segment, both references in one task
         cfg = replace(scenario.paper_preset().trace, duration=5e-5, sweeps=10)
