@@ -9,15 +9,13 @@ import pytest
 
 from squeezelab import cli, scenario, tracesim
 from squeezelab.gaussian import db_to_ratio
-from squeezelab.spectrum import TraceLabel, default_frequency_grid, detected_spectrum, flat_trace
+from squeezelab.spectrum import SpectrumTrace, TraceLabel, default_frequency_grid, detected_spectrum, flat_trace
 from squeezelab.tracesim import (
     PhotocurrentTrace,
-    ToneVisibility,
     TraceConfig,
     _ratio_to_trace,
     _welch_ratio,
     averaged_psd,
-    classify_tone,
     estimate_psd,
     sweep_rng,
     synthesize_trace,
@@ -50,6 +48,25 @@ def serial_fold(cfg, reference, tone, label):
     for k in range(cfg.sweeps):
         acc = acc + _welch_ratio(synthesize_trace(cfg, reference, tone, k).samples, cfg)
     return _ratio_to_trace(acc / cfg.sweeps, cfg, label)
+
+
+def float64_psds(cfg, references, tone):
+    """The sweep-averaged PSDs of `references` shaped in double precision: the library's
+    draw, a float64 gain, a float64 irFFT, and the library's Welch and sweep-order fold."""
+    total = cfg.samples_per_sweep + cfg.segment_length
+    floor = 0.0 if cfg.electronic_floor_db is None else db_to_ratio(cfg.electronic_floor_db)
+    freqs = np.fft.rfftfreq(total, d=1.0 / cfg.sample_rate)
+    gains = [np.sqrt(total / 2 * ((1.0 if target is None else target.ratio_at(freqs)) + floor))
+             for target, _ in references]
+    wave = 0.0 if tone is None else tone[1] * np.cos(2.0 * np.pi * tone[0] * np.arange(total) / cfg.sample_rate)
+    draw = np.empty(total // 2 + 1, dtype=complex)
+    accs = [0.0] * len(references)
+    for k in range(cfg.sweeps):
+        tracesim._draw_spectrum(cfg, k, draw)
+        for i, gain in enumerate(gains):
+            x = np.fft.irfft(draw * gain, n=total) + wave
+            accs[i] = accs[i] + _welch_ratio(x[cfg.segment_length:], cfg)
+    return [_ratio_to_trace(acc / cfg.sweeps, cfg, label) for acc, (_, label) in zip(accs, references)]
 
 
 def tasks_of(monkeypatch, sweeps, cfg, references):
@@ -533,17 +550,6 @@ class TestDeterminism:
         assert not np.array_equal(a.samples, b.samples)
 
 
-class TestClassifyTone:
-    def test_hidden(self):
-        assert classify_tone(-5.0, -3.2) is ToneVisibility.HIDDEN
-
-    def test_revealed(self):
-        assert classify_tone(-1.0, -3.2) is ToneVisibility.REVEALED_BY_SQUEEZING
-
-    def test_classical(self):
-        assert classify_tone(1.0, -3.2) is ToneVisibility.VISIBLE_CLASSICALLY
-
-
 class TestElectronicFloor:
     def test_floor_raises_total_power(self):
         cfg_off = cfg_with(duration=1e-3)
@@ -551,3 +557,49 @@ class TestElectronicFloor:
         var_off = np.var(synthesize_trace(cfg_off).samples)
         var_on = np.var(synthesize_trace(cfg_on).samples)
         assert var_on == pytest.approx(var_off + 10 ** (-0.6), rel=0.05)
+
+
+class TestSinglePrecision:
+    """The shaping irFFT runs in float32; the PSDs agree with a float64 one."""
+
+    def test_preset_trace_matches_double_precision(self):
+        scn = scenario.paper_preset()
+        target = detected_spectrum(scn.operating_point(), scn.chain, default_frequency_grid())
+        cfg = scn.trace  # 100 sweeps of 1 ms, with the electronic floor
+        references = [(target, TraceLabel.SQUEEZED_QUADRATURE)]
+        psd = averaged_psd(cfg, target, None, TraceLabel.SQUEEZED_QUADRATURE)
+        (want,) = float64_psds(cfg, references, None)
+        assert np.max(np.abs(psd.values_db - want.values_db)) < 1e-4
+
+    def test_single_segment_interfere_matches_double_precision(self):
+        # the modulation script's run: two references and the tone
+        scn = scenario.paper_preset()
+        cfg = replace(scn.trace, seed=2, sweeps=10, duration=5e-5)
+        icfg = scn.interfere
+        squeezed = flat_trace(icfg.squeezed_floor_db, [icfg.band_max], TraceLabel.SQUEEZED_QUADRATURE)
+        references = [(None, TraceLabel.SHOT_NOISE), (squeezed, TraceLabel.SQUEEZED_QUADRATURE)]
+        tone = (icfg.tone_frequency, tone_amplitude_for_db(icfg.tone_db_rel_shot, cfg))
+        for psd, want in zip(averaged_psd(cfg, references, tone), float64_psds(cfg, references, tone)):
+            assert np.max(np.abs(psd.values_db - want.values_db)) < 1e-4
+
+    def test_resolves_a_90_db_notch(self):
+        # float32 rounding fills a notch from the rest of the band: at 90 dB it reads
+        # 0.005 dB off, at 120 dB about 0.1-0.2 dB
+        cfg = cfg_with(duration=1e-3, sweeps=4, seed=3)
+        grid = default_frequency_grid(1e5, 49.9e6, 1e5)
+        notch = (grid >= 10e6) & (grid <= 15e6)
+        target = SpectrumTrace(grid, np.where(notch, -90.0, 0.0), TraceLabel.SQUEEZED_QUADRATURE)
+        psd = averaged_psd(cfg, target)
+        (want,) = float64_psds(cfg, [(target, TraceLabel.SHOT_NOISE)], None)
+        inside = (psd.frequencies >= 10e6) & (psd.frequencies <= 15e6)
+        assert np.median(want.values_db[inside]) < -89.0
+        assert np.max(np.abs(psd.values_db - want.values_db)[inside]) < 0.01
+
+    def test_levels_past_float32_range_stay_finite(self):
+        # the scale is applied in float64: a floor that check_level accepts, far past
+        # float32's 3.4e38, synthesizes finite samples and reads back at its level
+        cfg = cfg_with(electronic_floor_db=3000.0, sweeps=1)
+        target = flat_trace(-3.2, default_frequency_grid(1e6, 45e6, 1e6))
+        for reference in (None, target):
+            assert np.var(synthesize_trace(cfg, reference).samples) == pytest.approx(1e300, rel=0.05)
+            assert np.median(averaged_psd(cfg, reference).values_db) == pytest.approx(3000.0, abs=0.1)
