@@ -53,8 +53,8 @@ class InterfereConfig:
     band_max: float = 20e6  # Hz, top of the squeezing band; shot noise above it
 
     def __post_init__(self):
-        if self.squeezed_floor_db >= 0.0:
-            raise ValueError("squeezed_floor_db must be below shot noise (< 0)")
+        if not -90.0 <= self.squeezed_floor_db < 0.0:  # the float32 shaping resolves about 90 dB of span
+            raise ValueError(f"squeezed_floor_db must lie in [-90, 0) dB rel. shot, got {self.squeezed_floor_db}")
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,10 @@ RNG_ALGORITHM = "philox4x64"
 # Noise-equivalent bandwidth of the Hann window, in frequency bins.
 HANN_NENB_BINS = 1.5
 
-# Most samples one sweep may synthesize (0.1 s at 100 MS/s).  Each sweep
-# thread's buffers and a call's shaping gains peak at about 45 bytes per
-# synthesized sample for one shaped reference and 61 for two with a tone
-# (tracemalloc), 0.45 and 0.61 GB per thread at this cap.
+# Most samples one sweep may synthesize, `TraceConfig.synthesized_samples`
+# (0.1 s at 100 MS/s).  Each sweep thread's buffers and a call's shaping gains
+# peak at about 45 bytes per synthesized sample for one shaped reference and 61
+# for two with a tone (tracemalloc), 0.45 and 0.61 GB per thread at this cap.
 MAX_SAMPLES_PER_SWEEP = 10_000_000
 
 # Least work, in synthesized samples times shaped references, that
@@ -91,10 +91,10 @@ class TraceConfig:
         if not 0 <= self.seed < 2**128:  # the Philox key is 128 bits
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         # compared as floats first: the integer sample counts overflow on inf
-        if self.sample_rate * self.duration > MAX_SAMPLES_PER_SWEEP:
-            raise ValueError(f"duration gives more than {MAX_SAMPLES_PER_SWEEP} samples per sweep")
         if HANN_NENB_BINS * self.sample_rate / self.rbw > MAX_SAMPLES_PER_SWEEP:
             raise ValueError(f"rbw too narrow: one segment would exceed {MAX_SAMPLES_PER_SWEEP} samples")
+        if self.sample_rate * self.duration + self.segment_length > MAX_SAMPLES_PER_SWEEP:
+            raise ValueError(f"duration gives more than {MAX_SAMPLES_PER_SWEEP} synthesized samples per sweep")
         if self.samples_per_sweep < self.segment_length:
             raise ValueError(
                 "duration too short for the requested RBW: "
@@ -109,13 +109,13 @@ class TraceConfig:
             self.check_level(self.electronic_floor_db, "electronic_floor_db")
 
     def check_level(self, db: float, name: str) -> None:
-        """Refuse the level `name` at `db` dB rel. shot noise unless its power ratio
-        * segment_length**2, which bounds its periodogram values with room, is finite."""
+        """Refuse the level `name` at `db` dB rel. shot noise unless its power ratio times segment_length**2,
+        which bounds its periodogram with room, and times synthesized_samples, its squared shaping gain, is finite."""
         try:
             ratio = db_to_ratio(db)
         except ValueError as exc:
             raise ValueError(f"{name} {exc}") from None
-        if not math.isfinite(ratio * float(self.segment_length) ** 2):
+        if not math.isfinite(ratio * float(max(self.segment_length**2, self.synthesized_samples))):
             raise ValueError(f"{name} must keep the periodogram finite, got {db} dB")
 
     def check_frequency(self, freq: float, name: str) -> None:
@@ -128,6 +128,11 @@ class TraceConfig:
     @property
     def samples_per_sweep(self) -> int:
         return int(round(self.sample_rate * self.duration))
+
+    @property
+    def synthesized_samples(self) -> int:
+        """Samples a sweep synthesizes: the retained ones and one discarded warm-up segment."""
+        return self.samples_per_sweep + self.segment_length
 
     @property
     def segment_length(self) -> int:
@@ -180,14 +185,14 @@ def tone_amplitude_for_db(db_rel_shot: float, cfg: TraceConfig) -> float:
 def _sweep_invariants(
     cfg: TraceConfig, targets: list[SpectrumTrace | None], tone: tuple[float, float] | None
 ) -> list[tuple[np.ndarray | None, float, np.ndarray | None]]:
-    """Per target, what every sweep shares over the synthesized block of
-    `total = samples_per_sweep + segment_length` samples.  The gain
+    """Per target, what every sweep shares over the block of
+    `total = cfg.synthesized_samples` samples.  The gain
     sqrt(total/2 * (target + floor)) on its rFFT grid turns a `_draw_spectrum`
     draw into the block's shaped rFFT; it is kept as its shape, gain / max
     gain in complex64 (None for a white target, whose gain is flat), and its
     float64 scale, the max gain.  Last comes the tone waveform, one array for
     all (None: no tone)."""
-    total = cfg.samples_per_sweep + cfg.segment_length
+    total = cfg.synthesized_samples
     half = total / 2
     floor = 0.0 if cfg.electronic_floor_db is None else db_to_ratio(cfg.electronic_floor_db)
     shapes, wave = [], None
@@ -242,7 +247,7 @@ def _draw_spectrum(cfg: TraceConfig, sweep_index: int, draw: np.ndarray) -> None
     Nyquist bins of variance 2, whose imaginary parts irFFT ignores."""
     sweep_rng(cfg, sweep_index).standard_normal(2 * draw.size, out=draw.view(float))
     draw[0] *= math.sqrt(2.0)
-    if (cfg.samples_per_sweep + cfg.segment_length) % 2 == 0:
+    if cfg.synthesized_samples % 2 == 0:
         draw[-1] *= math.sqrt(2.0)
 
 
@@ -273,8 +278,7 @@ def synthesize_trace(
     if invariants is None:
         invariants = _sweep_invariants(cfg, [target_spectrum], tone)[0]
     shape, scale, wave = invariants
-    warmup = cfg.segment_length
-    total = cfg.samples_per_sweep + warmup
+    total = cfg.synthesized_samples
     if workspace is None:
         workspace = _Workspace(cfg, welch=False)
         _draw_spectrum(cfg, sweep_index, workspace.draw)
@@ -287,7 +291,7 @@ def synthesize_trace(
     out = np.multiply(low, scale, out=workspace.time, dtype=float)
     if wave is not None:
         out += wave
-    return PhotocurrentTrace(out[warmup:])
+    return PhotocurrentTrace(out[cfg.segment_length:])
 
 
 def _welch_ratio(x: np.ndarray, cfg: TraceConfig, workspace: _Workspace | None = None) -> np.ndarray:
@@ -358,7 +362,7 @@ def averaged_psd(
     references = [(target_spectrum, label)] if single else target_spectrum
     invariants = _sweep_invariants(cfg, [target for target, _ in references], tone)
 
-    per_sweep = (cfg.samples_per_sweep + cfg.segment_length) * len(invariants)
+    per_sweep = cfg.synthesized_samples * len(invariants)
     per_task = -(-MIN_TASK_SAMPLES // per_sweep)  # the fewest sweeps that hold MIN_TASK_SAMPLES
     starts = range(0, cfg.sweeps, per_task)
     local = threading.local()  # each running thread's workspace

@@ -191,6 +191,12 @@ CONFIG_ERRORS = [
     (["interfere", "--set", "interfere.tone_db_rel_shot=3080"], "interfere.tone_db_rel_shot"),
     (["interfere", "--set", "interfere.tone_db_rel_shot=4000"], "interfere.tone_db_rel_shot"),
     (["trace", "--set", "trace.electronic_floor_db=3040"], "trace.electronic_floor_db"),
+    (["trace", "--set", "trace.rbw=18.75e6", "--set", "trace.vbw=none", "--set", "trace.electronic_floor_db=3050",
+      "--set", "trace.sweeps=1"], "trace.electronic_floor_db"),  # the squared shaping gain overflows
+    (["cavity", "--set", "trace.duration=0.1", "--set", "trace.rbw=15"],
+     "trace.duration"),  # 1e7 retained and 1e7 warm-up samples: twice the cap
+    (["interfere", "--set", "interfere.squeezed_floor_db=-150"],
+     "interfere.squeezed_floor_db"),  # past the float32 shaping's 90 dB span
     (["capacity", "--set", "capacity.squeeze_r=355"], "capacity.squeeze_r"),
     (["capacity", "--set", "capacity.nbar_max=1e308"], "capacity.nbar_max"),
     (["capacity", "--set", "capacity.squeeze_r=-1"], "capacity.squeeze_r"),

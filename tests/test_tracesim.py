@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squeezelab import cli, scenario, tracesim
 from squeezelab.gaussian import db_to_ratio
@@ -136,10 +137,39 @@ class TestConfig:
             cfg_with(electronic_floor_db=3040.0)
         with pytest.raises(ValueError, match="^tone must give a finite power ratio"):
             cfg_with().check_level(4000.0, "tone")
+        # 8-sample segments, 100 008 synthesized samples: the squared shaping gain
+        # 1e305 * 100 008 overflows, though 1e305 * 8**2 does not
+        with pytest.raises(ValueError, match="^electronic_floor_db must keep the periodogram finite"):
+            cfg_with(rbw=18.75e6, vbw=None, electronic_floor_db=3050.0)
 
     def test_tone_amplitude_overflow_is_a_value_error(self):
         with pytest.raises(ValueError, match="4000"):
             tone_amplitude_for_db(4000.0, cfg_with())
+
+    @settings(max_examples=40, deadline=None)
+    @given(rbw=st.floats(30e3, 18.75e6), span=st.floats(0.0, 1.0),
+           margin_db=st.one_of(st.none(), st.floats(-20.0, 20.0), st.sampled_from([np.nan, np.inf, -np.inf])))
+    def test_each_geometry_runs_finite_or_names_its_field(self, rbw, span, margin_db):
+        # durations from one segment to 1 ms; floors within 20 dB of check_level's bound, past
+        # which a bound on the periodogram alone let the shaping gain overflow, and NaN and
+        # +-inf; the suite turns an overflow warning into an error
+        segment = TraceConfig(rbw=rbw, vbw=None).segment_length / 100e6
+        try:
+            cfg = cfg_with(rbw=rbw, vbw=None, duration=segment * (1e-3 / segment) ** span, sweeps=1)
+        except ValueError as exc:
+            assert str(exc).startswith(("rbw ", "duration ")), exc
+            return
+        if margin_db is not None:
+            bound_db = 10.0 * np.log10(sys.float_info.max / max(cfg.segment_length**2, cfg.synthesized_samples))
+            try:
+                cfg = replace(cfg, electronic_floor_db=bound_db - margin_db)
+            except ValueError as exc:
+                assert str(exc).startswith("electronic_floor_db "), exc
+                return
+        assert cfg.synthesized_samples <= 2_000_000
+        target = flat_trace(-3.2, default_frequency_grid(1e6, 45e6, 1e6))
+        for psd in averaged_psd(cfg, [(None, TraceLabel.SHOT_NOISE), (target, TraceLabel.SQUEEZED_QUADRATURE)]):
+            assert np.all(np.isfinite(psd.values_db))
 
 
 class TestSynthesize:
