@@ -16,7 +16,7 @@ from .capacity import MAX_NBAR_POINTS, capacity_coherent_squeezed_detection
 from .cavity import CavityParams
 from .homodyne import HomodyneConfig
 from .spectrum import DEFAULT_GRID_STOP, DetectionChain, OpaOperatingPoint
-from .tracesim import TraceConfig
+from .tracesim import TraceConfig, tone_amplitude_for_db
 
 
 class ScenarioError(ValueError):
@@ -90,7 +90,7 @@ class Scenario:
                            ("interfere.band_max", self.interfere.band_max),
                            ("the spectrum and trace grid top", DEFAULT_GRID_STOP)):
             self.trace.check_frequency(freq, name)
-        self.trace.check_level(self.interfere.tone_db_rel_shot, "interfere.tone_db_rel_shot")
+        tone_amplitude_for_db(self.interfere.tone_db_rel_shot, self.trace)  # the tone's own level checks
 
 
 # Scenario parameters that are not stated in the source experiment and are

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import db_to_ratio
+from .gaussian import _require, db_to_ratio
 from .spectrum import SpectrumTrace, TraceLabel
 
 RNG_ALGORITHM = "philox4x64"
@@ -86,8 +86,8 @@ class TraceConfig:
             raise ValueError("rbw must be > 0")
         if self.vbw is not None and self.vbw <= 0.0:
             raise ValueError("vbw must be > 0")
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
+        if not 1 <= self.sweeps <= 2**128:  # a sweep's index is the top 128 bits of its Philox counter
+            raise ValueError(f"sweeps must be in [1, 2**128], got {self.sweeps}")
         if not 0 <= self.seed < 2**128:  # the Philox key is 128 bits
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         # compared as floats first: the integer sample counts overflow on inf
@@ -109,13 +109,14 @@ class TraceConfig:
             self.check_level(self.electronic_floor_db, "electronic_floor_db")
 
     def check_level(self, db: float, name: str) -> None:
-        """Refuse the level `name` at `db` dB rel. shot noise unless its power ratio times segment_length**2,
-        which bounds its periodogram with room, and times synthesized_samples, its squared shaping gain, is finite."""
+        """Refuse the level `name` (the floor, a target's top, the tone) at `db` dB rel. shot unless its ratio times
+        segment_length**2, synthesized_samples (squared gain) and segment_length * sweeps (sweep sum) is finite."""
         try:
             ratio = db_to_ratio(db)
         except ValueError as exc:
             raise ValueError(f"{name} {exc}") from None
-        if not math.isfinite(ratio * float(max(self.segment_length**2, self.synthesized_samples))):
+        n = self.segment_length
+        if not math.isfinite(ratio * float(max(n * n, self.synthesized_samples, n * self.sweeps))):
             raise ValueError(f"{name} must keep the periodogram finite, got {db} dB")
 
     def check_frequency(self, freq: float, name: str) -> None:
@@ -179,7 +180,10 @@ def tone_amplitude_for_db(db_rel_shot: float, cfg: TraceConfig) -> float:
     3-bin VBW mean spreads the Hann main lobe (1/4, 1, 1/4) over 3 bins, so
     it displays 3.01 dB lower: +10 dB reads 6.99 dB.
     """
-    return 2.0 * np.sqrt(db_to_ratio(db_rel_shot) * cfg.rbw / cfg.sample_rate)
+    cfg.check_level(db_rel_shot, "tone")
+    amplitude = 2.0 * np.sqrt(db_to_ratio(db_rel_shot) * cfg.rbw / cfg.sample_rate)
+    _require(math.isfinite(amplitude), db_rel_shot, "tone must give a finite amplitude")  # at a wide rbw
+    return amplitude
 
 
 def _sweep_invariants(
@@ -202,6 +206,7 @@ def _sweep_invariants(
             continue
         if target.frequencies.size:
             cfg.check_frequency(target.frequencies[-1], "the target spectrum top")
+            cfg.check_level(target.values_db.max(), "the target spectrum")
         # > 0: ratio_at reads 1 above the target's top, which lies below Nyquist
         gain = np.sqrt(half * (target.ratio_at(np.fft.rfftfreq(total, d=1.0 / cfg.sample_rate)) + floor))
         scale = gain.max()
@@ -209,6 +214,9 @@ def _sweep_invariants(
     if tone is not None:
         freq, amplitude = tone
         cfg.check_frequency(freq, "the tone")
+        if amplitude:  # the level it stands for, by tone_amplitude_for_db's law; 0 is no tone
+            cfg.check_level(20.0 * math.log10(abs(amplitude)) + 10.0 * (math.log10(cfg.sample_rate)
+                            - math.log10(cfg.rbw) - math.log10(4.0)), "the tone amplitude")
         t = np.arange(total) / cfg.sample_rate
         wave = amplitude * np.cos(2.0 * np.pi * freq * t)
     return [(shape, scale, wave) for shape, scale in shapes]

@@ -190,9 +190,17 @@ CONFIG_ERRORS = [
     (["trace", "--set", "trace.sample_rate=50e6"], "trace.sample_rate"),  # Nyquist on the grid top
     (["interfere", "--set", "interfere.tone_db_rel_shot=3080"], "interfere.tone_db_rel_shot"),
     (["interfere", "--set", "interfere.tone_db_rel_shot=4000"], "interfere.tone_db_rel_shot"),
+    (["interfere", "--set", "interfere.tone_db_rel_shot=3020"],
+     "interfere.tone_db_rel_shot"),  # a finite amplitude past the level bound
     (["trace", "--set", "trace.electronic_floor_db=3040"], "trace.electronic_floor_db"),
     (["trace", "--set", "trace.rbw=18.75e6", "--set", "trace.vbw=none", "--set", "trace.electronic_floor_db=3050",
       "--set", "trace.sweeps=1"], "trace.electronic_floor_db"),  # the squared shaping gain overflows
+    (["interfere", "--set", "trace.rbw=18.75e6", "--set", "trace.vbw=none", "--set",
+      "interfere.tone_db_rel_shot=3020", "--set", "trace.sweeps=1"],
+     "interfere.tone_db_rel_shot"),  # the tone amplitude's ratio * rbw overflows
+    (["trace", "--set", "trace.rbw=18.75e6", "--set", "trace.duration=8e-8", "--set", "trace.vbw=none",
+      "--set", "trace.electronic_floor_db=3064", "--set", "trace.sweeps=1000"],
+     "trace.electronic_floor_db"),  # the sum over sweeps overflows
     (["cavity", "--set", "trace.duration=0.1", "--set", "trace.rbw=15"],
      "trace.duration"),  # 1e7 retained and 1e7 warm-up samples: twice the cap
     (["interfere", "--set", "interfere.squeezed_floor_db=-150"],

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from squeezelab import cli, scenario, tracesim
 from squeezelab.gaussian import db_to_ratio
@@ -54,7 +54,7 @@ def serial_fold(cfg, reference, tone, label):
 def float64_psds(cfg, references, tone):
     """The sweep-averaged PSDs of `references` shaped in double precision: the library's
     draw, a float64 gain, a float64 irFFT, and the library's Welch and sweep-order fold."""
-    total = cfg.samples_per_sweep + cfg.segment_length
+    total = cfg.synthesized_samples
     floor = 0.0 if cfg.electronic_floor_db is None else db_to_ratio(cfg.electronic_floor_db)
     freqs = np.fft.rfftfreq(total, d=1.0 / cfg.sample_rate)
     gains = [np.sqrt(total / 2 * ((1.0 if target is None else target.ratio_at(freqs)) + floor))
@@ -72,7 +72,7 @@ def float64_psds(cfg, references, tone):
 
 def tasks_of(monkeypatch, sweeps, cfg, references):
     """Let averaged_psd group `sweeps` sweeps of `cfg` with `references` shaped references per task."""
-    work = (cfg.samples_per_sweep + cfg.segment_length) * references
+    work = cfg.synthesized_samples * references
     monkeypatch.setattr(tracesim, "MIN_TASK_SAMPLES", sweeps * work)
 
 
@@ -147,29 +147,53 @@ class TestConfig:
             tone_amplitude_for_db(4000.0, cfg_with())
 
     @settings(max_examples=40, deadline=None)
-    @given(rbw=st.floats(30e3, 18.75e6), span=st.floats(0.0, 1.0),
+    @example(rbw=18.75e6, span=0.0, sweeps=1000, margin_db=-12.0)  # 8-sample sweeps: the sweep sum binds
+    @given(rbw=st.floats(30e3, 18.75e6), span=st.floats(0.0, 1.0), sweeps=st.integers(1, 5000),
            margin_db=st.one_of(st.none(), st.floats(-20.0, 20.0), st.sampled_from([np.nan, np.inf, -np.inf])))
-    def test_each_geometry_runs_finite_or_names_its_field(self, rbw, span, margin_db):
-        # durations from one segment to 1 ms; floors within 20 dB of check_level's bound, past
-        # which a bound on the periodogram alone let the shaping gain overflow, and NaN and
-        # +-inf; the suite turns an overflow warning into an error
+    def test_each_geometry_runs_finite_or_names_its_field(self, rbw, span, sweeps, margin_db):
+        # durations from one segment to 1 ms and 1 to 5000 sweeps of at most 3e6 samples in all;
+        # floors within 20 dB of check_level's bound, past which a bound without one of its factors
+        # let the shaping gain or the sweep sum overflow, and NaN and +-inf, with a tone at the
+        # floor's level; the suite turns an overflow warning into an error
         segment = TraceConfig(rbw=rbw, vbw=None).segment_length / 100e6
         try:
             cfg = cfg_with(rbw=rbw, vbw=None, duration=segment * (1e-3 / segment) ** span, sweeps=1)
         except ValueError as exc:
             assert str(exc).startswith(("rbw ", "duration ")), exc
             return
+        cfg = replace(cfg, sweeps=max(1, min(sweeps, 3_000_000 // cfg.synthesized_samples)))
+        tone = None
         if margin_db is not None:
-            bound_db = 10.0 * np.log10(sys.float_info.max / max(cfg.segment_length**2, cfg.synthesized_samples))
+            n = cfg.segment_length
+            bound_db = 10.0 * np.log10(sys.float_info.max / max(n * n, cfg.synthesized_samples, n * cfg.sweeps))
             try:
                 cfg = replace(cfg, electronic_floor_db=bound_db - margin_db)
             except ValueError as exc:
                 assert str(exc).startswith("electronic_floor_db "), exc
                 return
+            try:
+                tone = (4.5e6, tone_amplitude_for_db(cfg.electronic_floor_db, cfg))
+            except ValueError as exc:  # its ratio * rbw overflows first at a wide RBW: the floor runs alone
+                assert str(exc).startswith("tone "), exc
         assert cfg.synthesized_samples <= 2_000_000
         target = flat_trace(-3.2, default_frequency_grid(1e6, 45e6, 1e6))
-        for psd in averaged_psd(cfg, [(None, TraceLabel.SHOT_NOISE), (target, TraceLabel.SQUEEZED_QUADRATURE)]):
+        try:
+            psds = averaged_psd(cfg, [(None, TraceLabel.SHOT_NOISE), (target, TraceLabel.SQUEEZED_QUADRATURE)], tone)
+        except ValueError as exc:  # the amplitude's level read back within rounding of the bound
+            assert str(exc).startswith("the tone amplitude "), exc
+            return
+        for psd in psds:
             assert np.all(np.isfinite(psd.values_db))
+
+    @pytest.mark.parametrize("target, tone, name", [
+        (flat_trace(3040.0, default_frequency_grid(1e6, 45e6, 1e6)), None, "the target spectrum"),
+        *[(None, (4.5e6, amplitude), "the tone amplitude") for amplitude in (1e160, np.inf, np.nan)],
+    ])
+    def test_each_level_the_synthesis_meets_is_refused_by_name(self, target, tone, name):
+        # the overflow warnings and the unnamed "values_db must be finite" or "trace contains
+        # non-finite samples" that these gave come first or not at all
+        with pytest.raises(ValueError, match=f"^{name} "):
+            averaged_psd(TraceConfig(sweeps=1, duration=1e-4), target, tone)
 
 
 class TestSynthesize:
@@ -544,7 +568,7 @@ class TestDeterminism:
             tracemalloc.start()
             try:
                 psd()
-                return tracemalloc.get_traced_memory()[1] / (cfg.samples_per_sweep + cfg.segment_length)
+                return tracemalloc.get_traced_memory()[1] / cfg.synthesized_samples
             finally:
                 tracemalloc.stop()
 
@@ -555,7 +579,7 @@ class TestDeterminism:
     def test_one_off_calls_allocate_only_their_buffers(self):
         # a call without a workspace holds only its own buffers, in bytes
         cfg = scenario.paper_preset().trace
-        n, total = cfg.segment_length, cfg.samples_per_sweep + cfg.segment_length
+        n, total = cfg.segment_length, cfg.synthesized_samples
         nseg = 1 + (cfg.samples_per_sweep - n) // (n - n // 2)
         # the draw's complex bins, the trace and its finiteness mask
         synthesis = 16 * (total // 2 + 1) + 8 * total + cfg.samples_per_sweep
