@@ -1,11 +1,10 @@
 """Linearized Gaussian field-mode statistics.
 
 All quadrature variances are expressed in shot-noise units: a coherent or
-vacuum state has variance 1 in every quadrature.  The loss, jitter and dB
-maps take scalars or numpy arrays and apply elementwise.  The phase-squeezed
-convention is used throughout: for a phase-squeezed state the analysis angle
-theta = pi/2 returns the squeezed variance exp(-2r) and theta = 0 the
-antisqueezed variance exp(+2r).
+vacuum state has variance 1 in every quadrature.  The loss, jitter and
+ratio_to_db maps apply elementwise to scalars or numpy arrays; db_to_ratio
+takes one float.  The phase-squeezed convention is used throughout: theta =
+pi/2 reads the squeezed variance exp(-2r) and theta = 0 the antisqueezed exp(+2r).
 """
 from __future__ import annotations
 
@@ -102,7 +101,8 @@ def ratio_to_db(ratio):
 
 
 def db_to_ratio(d: float) -> float:
-    """Decibels -> power ratio, inverse of ratio_to_db.
+    """Decibels -> power ratio, inverse of ratio_to_db, for one float `d`, not an array:
+    math.pow gives the same bits on every host, where numpy's vector power need not.
 
     Raises ValueError when the ratio is not a finite float: for NaN, or on overflow.
     """

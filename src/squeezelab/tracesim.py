@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import _require, db_to_ratio
+from .gaussian import db_to_ratio
 from .spectrum import SpectrumTrace, TraceLabel
 
 RNG_ALGORITHM = "philox4x64"
@@ -176,24 +176,22 @@ def tone_amplitude_for_db(db_rel_shot: float, cfg: TraceConfig) -> float:
     """Sinusoid amplitude whose peak sits `db_rel_shot` above (or below, if
     negative) the shot-noise floor in one RBW bin, before the VBW mean.
 
-    A bin-centred tone displays at this level with `vbw=None`.  The default
-    3-bin VBW mean spreads the Hann main lobe (1/4, 1, 1/4) over 3 bins, so
-    it displays 3.01 dB lower: +10 dB reads 6.99 dB.
+    Welch reads a bin-centred tone of amplitude a at a**2 * segment_length / 6, so with
+    `vbw=None` it displays at this level for every segment length.  The default 3-bin VBW
+    mean spreads the Hann main lobe (1/4, 1, 1/4) over 3 bins: +10 dB displays 6.99 dB.
     """
     cfg.check_level(db_rel_shot, "tone")
-    amplitude = 2.0 * np.sqrt(db_to_ratio(db_rel_shot) * cfg.rbw / cfg.sample_rate)
-    _require(math.isfinite(amplitude), db_rel_shot, "tone must give a finite amplitude")  # at a wide rbw
-    return amplitude
+    return math.sqrt(db_to_ratio(db_rel_shot) / (cfg.segment_length / 6.0))
 
 
 def _sweep_invariants(
     cfg: TraceConfig, targets: list[SpectrumTrace | None], tone: tuple[float, float] | None
-) -> list[tuple[np.ndarray | None, float, np.ndarray | None]]:
+) -> list[tuple[np.ndarray | np.complex64, float, np.ndarray | None]]:
     """Per target, what every sweep shares over the block of
     `total = cfg.synthesized_samples` samples.  The gain
     sqrt(total/2 * (target + floor)) on its rFFT grid turns a `_draw_spectrum`
     draw into the block's shaped rFFT; it is kept as its shape, gain / max
-    gain in complex64 (None for a white target, whose gain is flat), and its
+    gain in complex64 (the scalar 1 for a white target), and its
     float64 scale, the max gain.  Last comes the tone waveform, one array for
     all (None: no tone)."""
     total = cfg.synthesized_samples
@@ -201,22 +199,20 @@ def _sweep_invariants(
     floor = 0.0 if cfg.electronic_floor_db is None else db_to_ratio(cfg.electronic_floor_db)
     shapes, wave = [], None
     for target in targets:
-        if target is None:
-            shapes.append((None, math.sqrt(half * (1.0 + floor))))
-            continue
-        if target.frequencies.size:
+        if target is not None and target.frequencies.size:
             cfg.check_frequency(target.frequencies[-1], "the target spectrum top")
             cfg.check_level(target.values_db.max(), "the target spectrum")
         # > 0: ratio_at reads 1 above the target's top, which lies below Nyquist
-        gain = np.sqrt(half * (target.ratio_at(np.fft.rfftfreq(total, d=1.0 / cfg.sample_rate)) + floor))
+        ratio = 1.0 if target is None else target.ratio_at(np.fft.rfftfreq(total, d=1.0 / cfg.sample_rate))
+        gain = np.sqrt(half * (ratio + floor))
         scale = gain.max()
         shapes.append(((gain / scale).astype(np.complex64), scale))
     if tone is not None:
         freq, amplitude = tone
         cfg.check_frequency(freq, "the tone")
         if amplitude:  # the level it stands for, by tone_amplitude_for_db's law; 0 is no tone
-            cfg.check_level(20.0 * math.log10(abs(amplitude)) + 10.0 * (math.log10(cfg.sample_rate)
-                            - math.log10(cfg.rbw) - math.log10(4.0)), "the tone amplitude")
+            cfg.check_level(20.0 * math.log10(abs(amplitude)) + 10.0 * math.log10(cfg.segment_length / 6.0),
+                            "the tone amplitude")
         t = np.arange(total) / cfg.sample_rate
         wave = amplitude * np.cos(2.0 * np.pi * freq * t)
     return [(shape, scale, wave) for shape, scale in shapes]
@@ -265,7 +261,7 @@ def synthesize_trace(
     tone: tuple[float, float] | None = None,
     sweep_index: int = 0,
     *,
-    invariants: tuple[np.ndarray | None, float, np.ndarray | None] | None = None,
+    invariants: tuple[np.ndarray | np.complex64, float, np.ndarray | None] | None = None,
     workspace: _Workspace | None = None,
 ) -> PhotocurrentTrace:
     """One sweep of noise shaped to the target plus the electronic floor, and a tone.
@@ -291,10 +287,7 @@ def synthesize_trace(
         workspace = _Workspace(cfg, welch=False)
         _draw_spectrum(cfg, sweep_index, workspace.draw)
     spec = workspace.time.view(np.complex64)[: total // 2 + 1]
-    if shape is None:
-        spec[...] = workspace.draw
-    else:
-        np.multiply(workspace.draw, shape, out=spec, dtype=np.complex64, casting="same_kind")
+    np.multiply(workspace.draw, shape, out=spec, dtype=np.complex64, casting="same_kind")
     low = np.fft.irfft(spec, n=total, out=workspace.spectrum.view(np.float32)[:total])
     out = np.multiply(low, scale, out=workspace.time, dtype=float)
     if wave is not None:

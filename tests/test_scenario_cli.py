@@ -195,9 +195,6 @@ CONFIG_ERRORS = [
     (["trace", "--set", "trace.electronic_floor_db=3040"], "trace.electronic_floor_db"),
     (["trace", "--set", "trace.rbw=18.75e6", "--set", "trace.vbw=none", "--set", "trace.electronic_floor_db=3050",
       "--set", "trace.sweeps=1"], "trace.electronic_floor_db"),  # the squared shaping gain overflows
-    (["interfere", "--set", "trace.rbw=18.75e6", "--set", "trace.vbw=none", "--set",
-      "interfere.tone_db_rel_shot=3020", "--set", "trace.sweeps=1"],
-     "interfere.tone_db_rel_shot"),  # the tone amplitude's ratio * rbw overflows
     (["trace", "--set", "trace.rbw=18.75e6", "--set", "trace.duration=8e-8", "--set", "trace.vbw=none",
       "--set", "trace.electronic_floor_db=3064", "--set", "trace.sweeps=1000"],
      "trace.electronic_floor_db"),  # the sum over sweeps overflows
@@ -270,6 +267,16 @@ def test_largest_philox_seed_runs(tmp_path):
     argv = ["trace", "--set", f"trace.seed={2**128 - 1}", "--set", "trace.sweeps=1",
             "--set", "trace.duration=1e-4", "--out", str(tmp_path)]
     assert run_cli(*argv) == 0
+
+
+def test_tone_within_the_level_bound_at_8_sample_segments_runs_finite(tmp_path):
+    # 3020 dB passes check_level at 8-sample segments, so the tone's amplitude and the run must
+    # stay finite; the suite turns an overflow warning into an error
+    argv = ["interfere", "--set", "trace.rbw=18.75e6", "--set", "trace.vbw=none", "--set",
+            "interfere.tone_db_rel_shot=3020", "--set", "trace.sweeps=1", "--out", str(tmp_path)]
+    assert run_cli(*argv) == 0
+    traces = read_traces_csv(next(tmp_path.glob("interfere-*.csv")))  # a SpectrumTrace refuses non-finite values
+    assert [trace.values_db.size for trace in traces] == [3, 3]
 
 
 def src_env() -> dict[str, str]:

@@ -38,6 +38,15 @@ def cfg_with(**overrides):
     return TraceConfig(**kwargs)
 
 
+# (vbw, displayed dB, rbw, a bin-centred tone) on the preset trace; rbw 30 and 45 MHz clamp the segment to 8 samples
+DISPLAYED_TONES = [
+    (10e3, 10.0 - 10 * np.log10(2.0), 30e3, 4.5e6),
+    (None, 10.0, 30e3, 4.5e6),
+    (None, 10.0, 30e6, 12.5e6),
+    (None, 10.0, 45e6, 12.5e6),
+]
+
+
 def use_cpus(monkeypatch, n):
     """Let averaged_psd see `n` CPUs: it runs min(n, tasks) threads."""
     monkeypatch.setattr(tracesim.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
@@ -171,10 +180,7 @@ class TestConfig:
             except ValueError as exc:
                 assert str(exc).startswith("electronic_floor_db "), exc
                 return
-            try:
-                tone = (4.5e6, tone_amplitude_for_db(cfg.electronic_floor_db, cfg))
-            except ValueError as exc:  # its ratio * rbw overflows first at a wide RBW: the floor runs alone
-                assert str(exc).startswith("tone "), exc
+            tone = (4.5e6, tone_amplitude_for_db(cfg.electronic_floor_db, cfg))
         assert cfg.synthesized_samples <= 2_000_000
         target = flat_trace(-3.2, default_frequency_grid(1e6, 45e6, 1e6))
         try:
@@ -185,15 +191,21 @@ class TestConfig:
         for psd in psds:
             assert np.all(np.isfinite(psd.values_db))
 
-    @pytest.mark.parametrize("target, tone, name", [
-        (flat_trace(3040.0, default_frequency_grid(1e6, 45e6, 1e6)), None, "the target spectrum"),
-        *[(None, (4.5e6, amplitude), "the tone amplitude") for amplitude in (1e160, np.inf, np.nan)],
+    @pytest.mark.parametrize("target, tone, name, cfg", [
+        (flat_trace(3040.0, default_frequency_grid(1e6, 45e6, 1e6)), None, "the target spectrum",
+         TraceConfig(sweeps=1, duration=1e-4)),
+        *[(None, (4.5e6, amplitude), "the tone amplitude", TraceConfig(sweeps=1, duration=1e-4))
+          for amplitude in (1e160, np.inf, np.nan)],
+        # 8-sample segments at a tiny sample rate: Welch reads the tone at a**2 * 8/6, 3201.2 dB
+        pytest.param(None, (1e-301, 1e160), r"the tone amplitude must give a finite power ratio, got 3201\.2\d*",
+                     TraceConfig(sample_rate=1e-300, duration=1e301, rbw=1e300, vbw=None, sweeps=1),
+                     id="tone-amplitude-at-8-sample-segments"),
     ])
-    def test_each_level_the_synthesis_meets_is_refused_by_name(self, target, tone, name):
+    def test_each_level_the_synthesis_meets_is_refused_by_name(self, target, tone, name, cfg):
         # the overflow warnings and the unnamed "values_db must be finite" or "trace contains
         # non-finite samples" that these gave come first or not at all
         with pytest.raises(ValueError, match=f"^{name} "):
-            averaged_psd(TraceConfig(sweeps=1, duration=1e-4), target, tone)
+            averaged_psd(cfg, target, tone)
 
 
 class TestSynthesize:
@@ -286,15 +298,17 @@ class TestEstimate:
             10 * np.log10(10.0 + 1.0), abs=0.3
         )
 
-    @pytest.mark.parametrize("vbw, displayed_db", [(10e3, 10.0 - 10 * np.log10(2.0)), (None, 10.0)])
-    def test_displayed_tone_level(self, vbw, displayed_db):
+    @pytest.mark.parametrize("vbw, displayed_db, rbw, freq", DISPLAYED_TONES,
+                             ids=[f"{vbw}-{db}" + (f"-rbw{rbw / 1e6:g}MHz" if rbw != 30e3 else "")
+                                  for vbw, db, rbw, _ in DISPLAYED_TONES])
+    def test_displayed_tone_level(self, vbw, displayed_db, rbw, freq):
         # a bin-centred pure tone: the preset's 3-bin VBW mean spreads the Hann
         # main lobe (1/4, 1, 1/4) over 3 bins, so its peak reads 3.01 dB low
-        cfg = replace(scenario.paper_preset().trace, vbw=vbw)
+        cfg = replace(scenario.paper_preset().trace, vbw=vbw, rbw=rbw)
         t = np.arange(cfg.samples_per_sweep) / cfg.sample_rate
-        tone = tone_amplitude_for_db(10.0, cfg) * np.cos(2 * np.pi * 4.5e6 * t)
+        tone = tone_amplitude_for_db(10.0, cfg) * np.cos(2 * np.pi * freq * t)
         psd = estimate_psd(PhotocurrentTrace(tone), cfg)
-        assert psd.frequencies[np.argmax(psd.values_db)] == 4.5e6
+        assert psd.frequencies[np.argmax(psd.values_db)] == freq
         assert np.max(psd.values_db) == pytest.approx(displayed_db, abs=1e-9)
 
     def test_tone_changes_psd_only_locally(self):
