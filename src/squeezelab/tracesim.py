@@ -220,8 +220,11 @@ def _sweep_invariants(
 
 class _Workspace:
     """One sweep thread's state for `samples` retained samples of `cfg`, reused
-    by every sweep it runs: the periodic Hann window of `segment_length` points
-    and its sum of squares; the draw, the rFFT bins of the `samples +
+    by every sweep it runs: the periodic Hann window of `segment_length` points,
+    scaled by 2**-j with 4**j >= the segment count so the Welch sum over segments
+    stays within the largest segment's power (a power of two scales every
+    rounding exactly, and the sum of squares it is divided by carries the same
+    4**-j, so the PSD's bits do not change), and its sum of squares; the draw, the rFFT bins of the `samples +
     segment_length` synthesized ones; one complex buffer, `spectrum`, that
     holds a reference's float32 irFFT block and then its segment spectra; the
     trace, `time`, whose buffer first holds the complex64 shaped spectrum; and
@@ -236,7 +239,8 @@ class _Workspace:
         total = samples + n
         nseg = 1 + (samples - n) // (n - n // 2) if welch else 0
         bins = total // 2 + 1 if references else 0
-        self.window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+        j = -(-(nseg - 1).bit_length() // 2) if welch else 0
+        self.window = np.ldexp(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n), -j)
         self.window_sum_sq = np.sum(self.window**2)
         self.spectrum = np.empty(max(nseg * (n // 2 + 1), bins), dtype=complex)
         self.draw = self.spectrum[:bins] if references == 1 else np.empty(bins, dtype=complex)

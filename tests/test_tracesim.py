@@ -157,6 +157,7 @@ class TestConfig:
 
     @settings(max_examples=40, deadline=None)
     @example(rbw=18.75e6, span=0.0, sweeps=1000, margin_db=-12.0)  # 8-sample sweeps: the sweep sum binds
+    @example(rbw=440529.0, span=1.0, sweeps=2, margin_db=1.0)  # tone on the floor near the bound: the segment sum binds
     @given(rbw=st.floats(30e3, 18.75e6), span=st.floats(0.0, 1.0), sweeps=st.integers(1, 5000),
            margin_db=st.one_of(st.none(), st.floats(-20.0, 20.0), st.sampled_from([np.nan, np.inf, -np.inf])))
     def test_each_geometry_runs_finite_or_names_its_field(self, rbw, span, sweeps, margin_db):
