@@ -1,7 +1,7 @@
 """Linearized Gaussian field-mode statistics.
 
 All quadrature variances are expressed in shot-noise units: a coherent or
-vacuum state has variance 1 in every quadrature.  The loss, jitter and
+vacuum state has variance 1 in every quadrature.  variance_at and the loss, jitter and
 ratio_to_db maps apply elementwise to scalars or numpy arrays; db_to_ratio
 takes one float.  The phase-squeezed convention is used throughout: theta =
 pi/2 reads the squeezed variance exp(-2r) and theta = 0 the antisqueezed exp(+2r).
@@ -44,15 +44,16 @@ class LossModel:
             )
 
 
-def variance_at(state: QuadratureState, theta: float) -> float:
-    """Quadrature variance of `state` at analysis angle theta (radians).
+def variance_at(state: QuadratureState, theta):
+    """Quadrature variance of `state` at analysis angle theta (radians, scalar or array).
 
-    Phase-squeezed: V(theta) = exp(-2r) sin^2(theta) + exp(+2r) cos^2(theta),
-    so theta = pi/2 reads the squeezed quadrature.
+    Phase-squeezed: V(theta) = exp(-2r) sin^2(theta) + exp(+2r) cos^2(theta), the principal
+    variances mixed at |pi/2 - theta|, so theta = pi/2 reads the squeezed quadrature.
     """
-    _require(math.isfinite(theta), theta, "theta must be finite")
+    theta = np.asarray(theta, dtype=float)
+    _require(np.isfinite(theta), theta, "theta must be finite")
     r = state.squeeze_r
-    return math.exp(-2.0 * r) * math.sin(theta) ** 2 + math.exp(2.0 * r) * math.cos(theta) ** 2
+    return apply_phase_jitter(math.exp(-2.0 * r), math.exp(2.0 * r), np.abs(math.pi / 2 - theta))
 
 
 def _require(ok, values, message: str) -> None:

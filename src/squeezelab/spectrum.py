@@ -109,7 +109,7 @@ class SpectrumTrace:
         for name in ("frequencies", "values_db"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        if self.frequencies.size and np.any(np.diff(self.frequencies) <= 0):
+        if np.any(np.diff(self.frequencies) <= 0):
             raise ValueError("frequencies must be strictly increasing")
 
     def ratio(self) -> np.ndarray:

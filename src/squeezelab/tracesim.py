@@ -16,9 +16,9 @@ average in the power domain.
 Everything is reproducible: the pseudorandom source is a counter-based
 Philox generator keyed by the config seed whose counter's top 128 bits are
 the sweep index, the same stream as `jumped(sweep_index)`, so identical
-configs give bit-identical traces and spectra.  A sweep makes one
-draw for every reference shaped from it and takes one irFFT and one
-periodogram per reference.  Consecutive sweeps are grouped into tasks of at
+configs give bit-identical traces and spectra on one numpy build and SIMD
+dispatch target.  A sweep makes one draw for every reference shaped from
+it and takes one irFFT and one periodogram per reference.  Consecutive sweeps are grouped into tasks of at
 least `MIN_TASK_SAMPLES` synthesized samples times references.  A call with
 one task, or on one CPU, runs its tasks on the calling thread; otherwise a
 thread per CPU runs them.  The periodograms are summed in sweep order, so
@@ -78,14 +78,8 @@ class TraceConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         for name in ("sample_rate", "duration", "rbw", "vbw"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.sample_rate <= 0.0 or self.duration <= 0.0:
-            raise ValueError("sample_rate and duration must be > 0")
-        if self.rbw <= 0.0:
-            raise ValueError("rbw must be > 0")
-        if self.vbw is not None and self.vbw <= 0.0:
-            raise ValueError("vbw must be > 0")
+            if value is not None and not 0.0 < value < math.inf:  # None: no video filter
+                raise ValueError(f"{name} must be {'> 0' if math.isfinite(value) else 'finite'}, got {value}")
         if not 1 <= self.sweeps <= 2**128:  # a sweep's index is the top 128 bits of its Philox counter
             raise ValueError(f"sweeps must be in [1, 2**128], got {self.sweeps}")
         if not 0 <= self.seed < 2**128:  # the Philox key is 128 bits
@@ -149,9 +143,7 @@ class TraceConfig:
     @property
     def vbw_bins(self) -> int:
         """Width of the video-bandwidth moving average, in frequency bins."""
-        if self.vbw is None or self.vbw >= self.rbw:
-            return 1
-        return max(1, int(round(self.rbw / self.vbw)))
+        return 1 if self.vbw is None else max(1, int(round(self.rbw / self.vbw)))
 
 
 @dataclass
@@ -199,7 +191,9 @@ def _sweep_invariants(
     floor = 0.0 if cfg.electronic_floor_db is None else db_to_ratio(cfg.electronic_floor_db)
     shapes, wave = [], None
     for target in targets:
-        if target is not None and target.frequencies.size:
+        if target is not None:
+            if not target.frequencies.size:
+                raise ValueError("the target spectrum must have at least one point")
             cfg.check_frequency(target.frequencies[-1], "the target spectrum top")
             cfg.check_level(target.values_db.max(), "the target spectrum")
         # > 0: ratio_at reads 1 above the target's top, which lies below Nyquist

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from squeezelab.capacity import (
     BoundKind,
+    CapacityCurve,
     capacity_coherent,
     capacity_coherent_squeezed_detection,
     capacity_squeezed_encoding,
@@ -151,6 +152,11 @@ class TestArrays:
             capacity_squeezed_encoding(np.array([1.0, 0.1]), R_PAPER)
         with pytest.raises(ValueError):
             capacity_coherent_squeezed_detection(self.GRID, -0.1)
+        with pytest.raises(ValueError, match="^grid and capacities must be aligned$"):
+            CapacityCurve([0.1, 0.2], [1.0], BoundKind.HOLEVO)
+        for grid in ([], [0.2, 0.1], [0.0, 0.1]):  # empty, not increasing, not positive
+            with pytest.raises(ValueError, match="^nbar grid must be positive and strictly increasing$"):
+                curve_suite(grid, R_PAPER)
 
 
 class TestCurveSuite:

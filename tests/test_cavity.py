@@ -165,3 +165,5 @@ class TestValidation:
             paper_cavity(shg_efficiency=0.0)
         with pytest.raises(ValueError):
             paper_cavity(crystal_length=0.06)
+        with pytest.raises(ValueError, match="^crystal_index must be >= 1$"):
+            paper_cavity(crystal_index=0.5)

@@ -44,6 +44,12 @@ class TestVarianceAt:
         with pytest.raises(ValueError):
             QuadratureState(1.0, -0.1)
 
+    def test_array_matches_pointwise(self):
+        state = phase_state(0.3)
+        theta = np.array([0.1, 0.2, math.pi / 2, -4.0])
+        assert np.array_equal(variance_at(state, theta), [variance_at(state, t) for t in theta])
+        np.testing.assert_allclose(variance_at(state, theta[:2]), [1.809, 1.772], atol=1e-3)
+
     @given(
         r=st.floats(0.0, 3.0),
         theta=st.floats(-10.0, 10.0),

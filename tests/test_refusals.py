@@ -28,6 +28,8 @@ OP = spectrum.OpaOperatingPoint(pump_power=0.05, threshold_power=0.145, cavity_h
                  id="correct_equal_power_shot_noise(obs, inf)"),
     pytest.param("theta", lambda: gaussian.variance_at(QuadratureState(1.0, 0.3), math.nan), id="variance_at(nan)"),
     pytest.param("theta", lambda: gaussian.variance_at(QuadratureState(1.0, 0.3), math.inf), id="variance_at(inf)"),
+    pytest.param("theta", lambda: gaussian.variance_at(QuadratureState(1.0, 0.3), [0.1, math.nan]),
+                 id="variance_at([0.1, nan])"),
     pytest.param("squeeze_r", lambda: gaussian.variance_at(QuadratureState(1.0, 400.0), 0.3),
                  id="QuadratureState(r=400)"),
     pytest.param("omega", lambda: spectrum.ideal_spectrum(OP, math.nan, spectrum.TraceLabel.SQUEEZED_QUADRATURE),

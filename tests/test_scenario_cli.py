@@ -2,6 +2,7 @@ import csv
 import hashlib
 import inspect
 import io
+import json
 import math
 import os
 import pkgutil
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from numpy.lib.introspect import opt_func_info
 
 import squeezelab
 from squeezelab import capacity, cli, scenario, tracesim
@@ -736,32 +738,87 @@ def test_modulation_script_buries_the_tone_only_classically(tmp_path):
 NO_FLOOR = ["--set", "trace.electronic_floor_db=none"]
 
 
+def log10_target() -> str:
+    """The SIMD dispatch target of numpy's float64 log10 loop in this interpreter."""
+    (loops,) = opt_func_info(func_name="log10", signature="float64").values()
+    (loop,) = loops.values()
+    return loop["current"]
+
+
+def csv_digest(out, argv) -> str:
+    """sha256 of the one CSV that the CLI run `argv` writes into the empty directory `out`."""
+    if not argv or argv[0].startswith("-"):  # no subcommand: the modulation script's run
+        argv = runpy.run_path(str(SCRIPTS / "reproduce_modulation_detection.py"))["ARGV"] + argv
+    assert run_cli("--out", str(out), *argv) == 0
+    return hashlib.sha256(next(Path(out).glob("*.csv")).read_bytes()).hexdigest()
+
+
+# numpy's float64 log10, log2, log, log1p, exp and power loops round differently on its AVX-512
+# target X86_V4 than on its baseline; an AVX2 host runs the baseline log10 and power and writes
+# the baseline bytes too.  A CSV that goes through them is pinned per target of float64 log10.
+X86_V4, BASELINE = "X86_V4", "baseline(X86_V2)"
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
 # sha256 of CSV outputs: the analytic ones unchanged since the electronic floor became
 # part of the shaping gain; the synthesized ones since each sweep's noise is shaped in single
 # precision, so they also pin numpy's float32 irFFT
-@pytest.mark.parametrize("argv, digest", [
+PINNED = [
     # the modulation script's own arguments
-    ([], "e9ab1c5a5cdc129cdffde62f68781683e1d0208c2b3d868225e280420c9d5595"),
-    (NO_FLOOR, "12164f2b05cbce709a53bd54aaf6024689eec65084aa9b2d182a1f00653dc616"),
+    ([], {X86_V4: "e9ab1c5a5cdc129cdffde62f68781683e1d0208c2b3d868225e280420c9d5595",
+          BASELINE: "955adf0c2eace80feb58678303f7dcf33adf9b344e6cb014ee944cd44cc8f3a1"}),
+    (NO_FLOOR, {X86_V4: "12164f2b05cbce709a53bd54aaf6024689eec65084aa9b2d182a1f00653dc616",
+                BASELINE: "35a62137f7e89ccfc67e95d7c35c8abaf61ee707d929360e3d651052cb7fe075"}),
     # three sweeps, with and without the preset's electronic floor
-    (["trace", "--set", "trace.sweeps=3"], "71abb787153b11d62cd54fbf8e04083072e57bad76968b41200e807edee29ab1"),
+    (["trace", "--set", "trace.sweeps=3"],
+     {X86_V4: "71abb787153b11d62cd54fbf8e04083072e57bad76968b41200e807edee29ab1",
+      BASELINE: "e3135e3c297d2a00601a8c1fa28f88c2c2cf787fc1c9e5833a5758a9adeb05b4"}),
     (["trace", "--set", "trace.sweeps=3", *NO_FLOOR],
-     "34890876cc127cae9609ab796914af1398e32ed634ab7655631cbc9229e24da7"),
+     {X86_V4: "34890876cc127cae9609ab796914af1398e32ed634ab7655631cbc9229e24da7",
+      BASELINE: "59e3e47fdbe97cde4c2160546e55af53466c0e3d25e923812aa75ffc3e903000"}),
     # the analytic subcommands on the preset
     (["cavity"], "0ee52fa4998ea5b265ed0dce383e23de2942019f3f833a075153df952e15720f"),
-    (["spectrum"], "6abfe948d2408de55bcb5e60f9c9d0b3c09786bd10b7d6cf340e168173f12bae"),
-    (["capacity"], "32de8e914c2120699a4b032310bbde6c6765a36fc7c7a45a49bed62db43b57da"),
+    (["spectrum"], {X86_V4: "6abfe948d2408de55bcb5e60f9c9d0b3c09786bd10b7d6cf340e168173f12bae",
+                    BASELINE: "fc827d11e10e036be60d19481c4dfe3ae511c9dcf7b22b83da38689fb2b36d80"}),
+    (["capacity"], {X86_V4: "32de8e914c2120699a4b032310bbde6c6765a36fc7c7a45a49bed62db43b57da",
+                    BASELINE: "e4bea95747f08c4466495b5a1f0d72640172a967d56117360f17f208695fef42"}),
     (["correct", "--observed-db", "-3.75"], "6e50c867656beb3ad2a04fc4838324b67214a99b7bd9c49285dd597671adfbc4"),
     (["correct", "--observed-db", "-3.0", "--mode", "equal-power"],
      "b7ba6ab466a4a8871d72222696930532695afc176504fac9340a93b19d46fac9"),
-], ids=["script", "script-no-floor", "trace", "trace-no-floor", "cavity", "spectrum", "capacity",
-        "correct-blocked", "correct-equal-power"])
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED, ids=[
+    "script", "script-no-floor", "trace", "trace-no-floor", "cavity", "spectrum", "capacity",
+    "correct-blocked", "correct-equal-power"])
 def test_csv_bytes_are_pinned(tmp_path, argv, digest):
     # pins the random stream, the shaping, the periodogram fold, the physics and the format
-    if not argv or argv[0].startswith("-"):  # no subcommand: the modulation script's run
-        argv = runpy.run_path(str(SCRIPTS / "reproduce_modulation_detection.py"))["ARGV"] + argv
-    assert run_cli("--out", str(tmp_path), *argv) == 0
-    assert hashlib.sha256(next(tmp_path.glob("*.csv")).read_bytes()).hexdigest() == digest
+    if isinstance(digest, dict):
+        target = log10_target()
+        assert target in digest, f"no digest pinned for numpy's float64 log10 dispatch target {target}"
+        digest = digest[target]
+    assert csv_digest(tmp_path, argv) == digest
+
+
+def test_baseline_loops_give_the_baseline_pins():
+    # the pins that a host without AVX-512 reads, checked on any host: one child interpreter
+    # runs the per-target cases with numpy's AVX-512 loops switched off
+    cases = [(argv, digest[BASELINE]) for argv, digest in PINNED if isinstance(digest, dict)]
+    code = """import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import test_scenario_cli as t
+digests = []
+for argv in json.loads(sys.argv[2]):
+    with tempfile.TemporaryDirectory() as out:
+        digests.append(t.csv_digest(out, argv))
+print(json.dumps([t.log10_target(), digests]))
+"""
+    argvs = json.dumps([argv for argv, _ in cases])
+    proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent), argvs],
+                          capture_output=True, text=True, env={**src_env(), **NO_AVX512}, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    target, digests = json.loads(proc.stdout.splitlines()[-1])
+    assert target == BASELINE, f"numpy's float64 log10 ran on {target} with {NO_AVX512}"
+    assert digests == [digest for _, digest in cases]
 
 
 # the stem names the files by a hash of the whole `.meta` record, so it pins that record

@@ -196,6 +196,8 @@ class TestDetectedSpectrum:
     def test_rejects_non_opa_quadrature(self):
         with pytest.raises(ValueError):
             detected_variance(paper_op(), paper_chain(), 1e6, TraceLabel.SHOT_NOISE)
+        with pytest.raises(ValueError, match="^not an OPA quadrature: "):
+            ideal_spectrum(paper_op(), 1e6, TraceLabel.SHOT_NOISE)
 
     @given(eta=st.floats(0.1, 0.999))
     def test_loss_bound_property(self, eta):

@@ -106,6 +106,7 @@ class TestConfig:
     def test_vbw_bins(self):
         assert cfg_with().vbw_bins == 3
         assert cfg_with(vbw=30e3).vbw_bins == 1
+        assert cfg_with(vbw=100e3).vbw_bins == 1  # a video filter wider than the RBW averages nothing
 
     def test_rejects_sweep_shorter_than_segment(self):
         with pytest.raises(ValueError):
@@ -120,6 +121,12 @@ class TestConfig:
         ({"duration": float("inf")}, "duration"),
         ({"rbw": 1e-300}, "rbw"),
         ({"seed": -1}, "seed"),
+        ({"sweeps": 0}, "sweeps"),
+        ({"sweeps": 2**128 + 1}, "sweeps"),
+        ({"vbw": 0.0}, "vbw"),
+        ({"vbw": -1.0}, "vbw"),
+        ({"duration": 0.0}, "duration"),  # each field is refused by its own name
+        ({"sample_rate": 0.0}, "sample_rate"),
     ])
     def test_rejects_sweeps_too_large_and_negative_seed(self, overrides, field):
         with pytest.raises(ValueError, match=f"^{field} "):
@@ -137,6 +144,12 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["sample_rate", "duration", "rbw", "vbw"])
     def test_refuses_non_finite_fields_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}"):
+            cfg_with(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("field", ["sample_rate", "duration", "rbw", "vbw"])
+    def test_refuses_non_positive_fields_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be > 0, got {value}$"):
             cfg_with(**{field: value})
 
     def test_level_must_keep_the_periodogram_finite(self):
@@ -201,6 +214,9 @@ class TestConfig:
         pytest.param(None, (1e-301, 1e160), r"the tone amplitude must give a finite power ratio, got 3201\.2\d*",
                      TraceConfig(sample_rate=1e-300, duration=1e301, rbw=1e300, vbw=None, sweeps=1),
                      id="tone-amplitude-at-8-sample-segments"),
+        # refused before numpy's interpolation, whose "array of sample points is empty" names nothing
+        pytest.param(flat_trace(0.0, []), None, "the target spectrum must have at least one",
+                     TraceConfig(sweeps=1, duration=1e-4), id="empty-target"),
     ])
     def test_each_level_the_synthesis_meets_is_refused_by_name(self, target, tone, name, cfg):
         # the overflow warnings and the unnamed "values_db must be finite" or "trace contains
@@ -255,6 +271,8 @@ class TestSynthesize:
         target = flat_trace(0.0, [1e6, 60e6])
         with pytest.raises(ValueError):
             synthesize_trace(cfg_with(), target)
+        with pytest.raises(ValueError, match="^the target spectrum must have at least one point$"):
+            synthesize_trace(cfg_with(), flat_trace(0.0, []))
 
     def test_rejects_nonfinite_samples(self):
         with pytest.raises(ValueError):
