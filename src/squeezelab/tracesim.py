@@ -34,6 +34,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,16 +121,16 @@ class TraceConfig:
             raise ValueError(f"{name} = {freq:g} Hz must lie in (0, Nyquist), and "
                              f"Nyquist = trace.sample_rate / 2 = {nyquist:g} Hz")
 
-    @property
+    @cached_property  # the config is frozen: each size is computed once per instance
     def samples_per_sweep(self) -> int:
         return int(round(self.sample_rate * self.duration))
 
-    @property
+    @cached_property
     def synthesized_samples(self) -> int:
         """Samples a sweep synthesizes: the retained ones and one discarded warm-up segment."""
         return self.samples_per_sweep + self.segment_length
 
-    @property
+    @cached_property
     def segment_length(self) -> int:
         """Periodogram segment length such that Hann NENB = RBW."""
         n = int(round(HANN_NENB_BINS * self.sample_rate / self.rbw))
@@ -154,7 +155,7 @@ class PhotocurrentTrace:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        if not np.all(np.isfinite(self.samples)):
+        if not np.isfinite(self.samples).all():
             raise ValueError("trace contains non-finite samples")
 
 
@@ -207,7 +208,7 @@ def _sweep_invariants(
         if amplitude:  # the level it stands for, by tone_amplitude_for_db's law; 0 is no tone
             cfg.check_level(20.0 * math.log10(abs(amplitude)) + 10.0 * math.log10(cfg.segment_length / 6.0),
                             "the tone amplitude")
-        t = np.arange(total) / cfg.sample_rate
+        t = np.arange(cfg.segment_length, total) / cfg.sample_rate  # the retained samples' times
         wave = amplitude * np.cos(2.0 * np.pi * freq * t)
     return [(shape, scale, wave) for shape, scale in shapes]
 
@@ -266,8 +267,8 @@ def synthesize_trace(
 
     `target_spectrum` is the wanted one-sided PSD in shot-noise units (None
     means flat shot noise); `tone` is (frequency_hz, amplitude) of a
-    deterministic sinusoid.  One segment of warm-up samples is synthesized
-    and discarded so the retained block is free of the circular-shaping seam.
+    deterministic sinusoid.  One warm-up segment is irFFT'd, but neither scaled
+    nor toned, and discarded so the retained block is free of the circular-shaping seam.
     A caller synthesizing many sweeps passes `invariants`, an item of
     `_sweep_invariants`, in place of those two, and a `_Workspace` for `cfg`
     whose `draw` holds the sweep's `_draw_spectrum` draw (a call without one
@@ -287,10 +288,11 @@ def synthesize_trace(
     spec = workspace.time.view(np.complex64)[: total // 2 + 1]
     np.multiply(workspace.draw, shape, out=spec, dtype=np.complex64, casting="same_kind")
     low = np.fft.irfft(spec, n=total, out=workspace.spectrum.view(np.float32)[:total])
-    out = np.multiply(low, scale, out=workspace.time, dtype=float)
+    n = cfg.segment_length  # the warm-up, which nothing reads
+    out = np.multiply(low[n:], scale, out=workspace.time[n:], dtype=float)
     if wave is not None:
         out += wave
-    return PhotocurrentTrace(out[cfg.segment_length:])
+    return PhotocurrentTrace(out)
 
 
 def _welch_ratio(x: np.ndarray, cfg: TraceConfig, workspace: _Workspace | None = None) -> np.ndarray:
@@ -311,10 +313,10 @@ def _welch_ratio(x: np.ndarray, cfg: TraceConfig, workspace: _Workspace | None =
     shape = (len(segments), n // 2 + 1)
     spec = np.fft.rfft(np.multiply(segments, ws.window, out=ws.segments), axis=1,
                        out=ws.spectrum[: shape[0] * shape[1]].reshape(shape))
-    # |X|^2 in place through the float view: square, then add re and im columns
+    # |X|^2 in place through the float view: square, add re and im columns, then np.mean's sum / count
     parts = spec.view(float)
     np.square(parts, out=parts)
-    power = np.add(parts[:, 0::2], parts[:, 1::2], out=parts[:, 0::2]).mean(axis=0)
+    power = np.add.reduce(np.add(parts[:, 0::2], parts[:, 1::2], out=parts[:, 0::2]), axis=0) / shape[0]
     # a one-sided density 2|X|^2 / (fs sum w^2) reads 2/fs for unit-variance
     # white noise; drop the DC and last bins, whose one-sided scaling differs
     return power[1:-1] / ws.window_sum_sq
@@ -324,7 +326,7 @@ def _ratio_to_trace(ratio: np.ndarray, cfg: TraceConfig, label: TraceLabel) -> S
     """VBW-smooth a `_welch_ratio` PSD; return it on its grid in dB relative to shot noise."""
     # moving mean of m bins, the edge bins repeated beyond either end; m = 1 returns the same bits
     m = cfg.vbw_bins
-    padded = np.pad(ratio, (m // 2, (m - 1) // 2), mode="edge")
+    padded = np.concatenate((np.full(m // 2, ratio[0]), ratio, np.full((m - 1) // 2, ratio[-1])))
     ratio = np.convolve(padded, np.ones(m), "valid") / m
     # clamp for the log: a zero-power bin reads -3000 dB rather than -inf
     ratio = np.maximum(ratio, 1e-300)

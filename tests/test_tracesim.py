@@ -101,7 +101,17 @@ def count_tasks(monkeypatch):
 class TestConfig:
     def test_segment_length_from_rbw(self):
         # Hann noise-equivalent bandwidth 1.5*fs/nperseg = RBW
-        assert cfg_with().segment_length == 5000
+        cfg = cfg_with()
+        assert (cfg.segment_length, cfg.synthesized_samples) == (5000, 25000)
+        # each instance computes its own sizes once: a replaced config reports its fields' sizes
+        other = replace(cfg, rbw=60e3, duration=1e-4)
+        assert (other.segment_length, other.synthesized_samples) == (2500, 12500)
+        # the cached sizes are no fields: equal configs stay equal, hash equally and serialize the same
+        assert cfg == cfg_with() and hash(cfg) == hash(cfg_with())
+        preset = scenario.paper_preset()
+        text = scenario.serialize(preset)
+        assert (preset.trace.segment_length, preset.trace.synthesized_samples) == (5000, 105000)
+        assert scenario.serialize(preset) == text == scenario.serialize(scenario.paper_preset())
 
     def test_vbw_bins(self):
         assert cfg_with().vbw_bins == 3
@@ -363,11 +373,15 @@ class TestWelch:
         cfg = cfg_with(vbw=vbw)
         m = cfg.vbw_bins
         ratio = np.random.default_rng(5).exponential(size=cfg.psd_bins)
-        got = _ratio_to_trace(ratio, cfg, TraceLabel.SHOT_NOISE).ratio()
+        trace = _ratio_to_trace(ratio, cfg, TraceLabel.SHOT_NOISE)
         clamp = lambda i: ratio[min(max(i, 0), ratio.size - 1)]
         want = [np.mean([clamp(j) for j in range(i - m // 2, i - m // 2 + m)])
                 for i in range(ratio.size)]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        np.testing.assert_allclose(trace.ratio(), want, rtol=1e-12)
+        # bit for bit against np.pad's edge mode, the reference for the concatenated edge bins
+        padded = np.pad(ratio, (m // 2, (m - 1) // 2), mode="edge")
+        smoothed = np.maximum(np.convolve(padded, np.ones(m), "valid") / m, 1e-300)
+        assert np.array_equal(trace.values_db, 10.0 * np.log10(smoothed))
 
     @pytest.mark.parametrize("rbw", [30e3, 1.5e8 / 4999])  # segments of 5000 and 4999 samples
     @pytest.mark.parametrize("layout", ["every_other", "reversed", "element_offset", "unaligned"])
