@@ -126,30 +126,56 @@ class SpectrumTrace:
 
 
 def _cells(a: np.ndarray) -> list[str]:
-    """A 1-D chunk's cells: text as given, numbers as repr, NaN as ""."""
+    """A 1-D chunk's cells: text as given, numbers as repr, NaN as "" (floats by orjson: see write_csv)."""
     if a.dtype.kind == "U":
         return a.tolist()
-    cells = list(map(repr, a.tolist()))
-    return ["" if v == "nan" else v for v in cells] if "nan" in cells else cells
+    if a.dtype.kind != "f" or a.size < 16:  # below about 16 cells, orjson's fixed cost exceeds repr's
+        cells = list(map(repr, a.tolist()))
+        return ["" if v == "nan" else v for v in cells] if "nan" in cells else cells
+    import orjson  # here, not at module level, so importing the CLI does not load it
+    a = np.ascontiguousarray(a, dtype=np.float64)  # float64 digits, in the native order orjson reads
+    cells = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(a)
+    odd = (~((mag >= 1e-4) & (mag < 1e16)) & (a != 0)).nonzero()[0]  # NaN and ±inf included
+    for k, v in zip(odd.tolist(), a[odd].tolist()):
+        cells[k] = "" if math.isnan(v) else repr(v)
+    return cells
 
 
 def write_csv(path, header, blocks) -> None:
     """The one CSV format: the header row, then each block of equal-length
     columns as rows, floats as repr, NaN as an empty cell, "\\r\\n" line ends,
     and no quoting, since each cell is a number or a fixed name.  A plain
-    `str` column stands for that name on every row of its block.
+    `str` column stands for that name on every row of its block.  A block
+    needs one column per header name, at least one array column, and its
+    array columns 1-D and of one length; otherwise ValueError names the block
+    and column.
 
     Cells are formatted a column chunk at a time, to the same bytes as a cell
-    at a time.  A constant chunk (a `str`, or one whose bytes repeat its first
-    element's) is one cell folded into the text between the varying columns,
-    and each chunk is one join of those texts and the varying cells.  A chunk
-    whose dtype and bytes equal those of the chunk last formatted in its column
+    at a time.  A float chunk of 16 or more cells is cast to float64 and
+    written by one orjson call: its shortest round-trip digits are repr's,
+    and repr itself writes only the cells where orjson's layout differs (NaN,
+    ±inf, and nonzero |x| < 1e-4 or >= 1e16, where repr uses an exponent).
+    A constant chunk (a `str`, or one whose bytes repeat its first element's)
+    is one cell folded into the text between the varying columns, and each
+    chunk is one join of those texts and the varying cells.  A chunk whose
+    dtype and bytes equal those of the chunk last formatted in its column
     position (blocks often share a grid) reuses its cells."""
     last = {}  # column position -> ((dtype, bytes), cells) of its last formatted chunk
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for columns in blocks:
-            rows = len(next(c for c in columns if not isinstance(c, str)))
+        for b, columns in enumerate(blocks):
+            if len(columns) != len(header):
+                raise ValueError(f"block {b} has {len(columns)} columns for {len(header)} header names")
+            columns = [c if isinstance(c, str) else np.asarray(c) for c in columns]
+            shapes = [(name, c.shape) for name, c in zip(header, columns) if not isinstance(c, str)]
+            if not shapes:
+                raise ValueError(f"block {b} has only str columns, so it has no row count")
+            for name, shape in shapes:
+                if len(shape) != 1 or shape != shapes[0][1]:
+                    raise ValueError(f"block {b} column {name!r} has shape {shape}; its array columns must be "
+                                     f"1-D and as long as column {shapes[0][0]!r}, of shape {shapes[0][1]}")
+            rows = shapes[0][1][0]
             for start in range(0, rows, CSV_CHUNK_ROWS):
                 n = min(CSV_CHUNK_ROWS, rows - start)
                 texts, varying = [""], []  # texts[j] precedes varying column j; texts[-1] ends the row
@@ -158,7 +184,7 @@ def write_csv(path, header, blocks) -> None:
                     if isinstance(c, str):
                         texts[-1] += c
                         continue
-                    a = np.asarray(c[start:start + CSV_CHUNK_ROWS])
+                    a = c[start:start + CSV_CHUNK_ROWS]
                     # object cells are compared by address, so only plain dtypes are folded or reused
                     key = None if a.dtype.hasobject else (a.dtype.str, a.tobytes())
                     if key is not None and key[1] == key[1][:a.itemsize] * n:

@@ -5,17 +5,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from squeezelab import cli
 from squeezelab.capacity import BoundKind, CapacityCurve, curve_suite, default_nbar_grid, write_curves_csv
-from squeezelab.spectrum import CSV_CHUNK_ROWS, SpectrumTrace, TraceLabel, write_csv, write_traces_csv
+from squeezelab.spectrum import CSV_CHUNK_ROWS, SpectrumTrace, TraceLabel, _cells, write_csv, write_traces_csv
+
+
+def cell(v):
+    """One cell of the format: str as given, numbers as repr, NaN as ""."""
+    return v if isinstance(v, str) else "" if math.isnan(v) else repr(v)
 
 
 def row_by_row(header, blocks):
-    """The format a cell at a time: str as given, numbers as repr, NaN as "";
-    a plain str column is that str on every row of its block."""
-    cell = lambda v: v if isinstance(v, str) else "" if math.isnan(v) else repr(v)
-
+    """The format a cell at a time; a plain str column is that str on every
+    row of its block."""
     def rows_of(columns):
         n = next(len(c) for c in columns if not isinstance(c, str))
         return zip(*([c] * n if isinstance(c, str) else np.asarray(c).tolist() for c in columns))
@@ -24,17 +29,68 @@ def row_by_row(header, blocks):
     return "".join(row + "\r\n" for row in rows).encode()
 
 
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 64),  # both sides of the 16-cell cut
+                  elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+def test_float_cells_match_repr(a):
+    assert _cells(a) == list(map(cell, a.tolist()))
+
+
+def _random_bit_patterns():
+    # every sign, exponent and mantissa: NaN payloads, subnormals, both exponent layouts
+    return np.random.default_rng(20).integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+
+
+def _layout_boundaries():
+    # repr switches to an exponent below 1e-4 and from 1e16, where orjson's own layout differs
+    edges = np.array([1e-4, 1e16, 5e-324, np.finfo(np.float64).max])
+    with np.errstate(over="ignore"):
+        near = [np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]
+    a = np.concatenate([edges, *near, [0.0, -0.0, math.nan, math.inf, -math.inf]])
+    return np.concatenate([a, -a])
+
+
+@pytest.mark.parametrize("make", [_random_bit_patterns, _layout_boundaries], ids=["bit-patterns", "boundaries"])
+def test_fixed_float_samples_match_repr(make):
+    a = make()
+    assert _cells(a) == list(map(cell, a.tolist()))
+
+
+@pytest.mark.parametrize("blocks, match", [
+    ([([1.0, 2.0], [3.0, 4.0], "x"), ("a", "b", "y")], "block 1 has only str columns"),
+    ([([1.0, 2.0], [3.0, 4.0], "x"), ([1.0, 2.0], [3.0], "y")], r"block 1 column 'b' has shape \(1,\)"),
+    ([(np.ones((2, 1)), [3.0, 4.0], "x")], r"block 0 column 'a' has shape \(2, 1\)"),
+    ([([1.0, 2.0], [3.0, 4.0])], "block 0 has 2 columns for 3 header names"),
+], ids=["only-str", "unequal-lengths", "two-dimensional", "column-count"])
+def test_malformed_block_is_refused_by_name(tmp_path, blocks, match):
+    with pytest.raises(ValueError, match=match):
+        write_csv(tmp_path / "bad.csv", ("a", "b", "label"), blocks)
+
+
 def _nan_around_the_chunk_boundary():
     values = np.linspace(-1.0, 1.0, 2 * CSV_CHUNK_ROWS + 3)
     values[[CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS]] = math.nan  # last row of one chunk, first of the next
     return [(np.arange(values.size) * 0.1, values, np.broadcast_to("holevo", values.shape))]
 
 
+def _float_column(values):
+    values[1:4] = math.nan, 1e17, -1e-5  # cells in repr's exponent layout too
+    return [(values, np.arange(values.size) * 0.25, "x")]
+
+
+def _thirds(n):
+    return np.arange(n) / 3.0 - 5.0
+
+
 @pytest.mark.parametrize("header, blocks", [
     (("observed_db", "power_ratio", "mode", "corrected_db"), [([-3.0], [0.038], ["blocked"], [math.nan])]),
     (("nbar", "capacity_bits", "bound_kind"), _nan_around_the_chunk_boundary()),
     (("x", "y"), [([math.inf, 1.0, -math.inf], [-math.inf, math.nan, 2.0])]),
-], ids=["one-row-nan", "nan-at-chunk-boundary", "infinite"])
+    (("a", "b", "label"), _float_column(_thirds(2 * CSV_CHUNK_ROWS + 7)[::2])),  # over two chunks
+    (("a", "b", "label"), _float_column(_thirds(40).astype(">f8"))),
+    # written as its float64 value's repr, not float32's shortest digits
+    (("a", "b", "label"), _float_column(_thirds(40).astype(np.float32))),
+], ids=["one-row-nan", "nan-at-chunk-boundary", "infinite", "strided", "big-endian", "float32"])
 def test_edge_cases_match_the_row_by_row_format(tmp_path, header, blocks):
     write_csv(tmp_path / "edge.csv", header, blocks)
     assert (tmp_path / "edge.csv").read_bytes() == row_by_row(header, blocks)

@@ -304,10 +304,12 @@ def test_all_lists_every_submodule():
 
 
 def test_cli_import_loads_no_scipy():
+    # nor orjson, which only a CSV write imports, so the CLI's import time does not pay for it
     proc = subprocess.run(
         [sys.executable, "-c",
          "import squeezelab.cli, sys; squeezelab.scenario.paper_preset(); "
-         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))"],
+         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy')); "
+         "assert 'orjson' not in sys.modules"],
         capture_output=True, text=True, env=src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
