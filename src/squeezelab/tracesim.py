@@ -24,7 +24,10 @@ one task, or on one CPU, runs its tasks on the calling thread; otherwise a
 thread per CPU runs them.  The periodograms are summed in sweep order, so
 the result does not depend on the grouping or the number of threads.  Each
 thread reuses one workspace, sized from the config, holding the Hann window
-and the draw, spectrum, trace and segments.
+and the draw, spectrum, trace and one block of segments: Welch transforms
+as many segments at a time as their spectra fit in the draw's bins (20 of
+the preset's 39), which halves a thread's Welch buffers (to 1.6 MB at the
+preset) and keeps the bits of one sum over all.
 """
 from __future__ import annotations
 
@@ -48,8 +51,8 @@ HANN_NENB_BINS = 1.5
 
 # Most samples one sweep may synthesize, `TraceConfig.synthesized_samples`
 # (0.1 s at 100 MS/s).  Each sweep thread's buffers and a call's shaping gains
-# peak at about 45 bytes per synthesized sample for one shaped reference and 61
-# for two with a tone (tracemalloc), 0.45 and 0.61 GB per thread at this cap.
+# peak at about 29 bytes per synthesized sample for one shaped reference and 45
+# for two with a tone (tracemalloc), 0.29 and 0.45 GB per thread at this cap.
 MAX_SAMPLES_PER_SWEEP = 10_000_000
 
 # Least work, in synthesized samples times shaped references, that
@@ -220,27 +223,29 @@ class _Workspace:
     stays within the largest segment's power (a power of two scales every
     rounding exactly, and the sum of squares it is divided by carries the same
     4**-j, so the PSD's bits do not change), and its sum of squares; the draw, the rFFT bins of the `samples +
-    segment_length` synthesized ones; one complex buffer, `spectrum`, that
-    holds a reference's float32 irFFT block and then its segment spectra; the
-    trace, `time`, whose buffer first holds the complex64 shaped spectrum; and
-    the windowed segments.  For one reference the draw is the head of
-    `spectrum`, consumed by the cast into `time`; for more it has its own,
-    kept for the next.  No `references` leaves out the draw and trace (Welch
-    only), no `welch` the segments (synthesis only)."""
+    segment_length` synthesized ones; one complex buffer, `spectrum`, of as
+    many bins, that holds a reference's float32 irFFT block and then one block
+    of segment spectra; the trace, `time`, whose buffer first holds the
+    complex64 shaped spectrum; and one block of windowed segments, as many as
+    their spectra fit in `spectrum`, at least one and at most the sweep's
+    (in every mode).  For one reference the draw is `spectrum`, consumed by the
+    cast into `time`; for more it has its own, kept for the next.  No
+    `references` leaves out the draw and trace (Welch only), no `welch` the
+    segments (synthesis only)."""
 
     def __init__(self, cfg: TraceConfig, samples: int | None = None, references: int = 1, welch: bool = True):
         n = cfg.segment_length
         samples = cfg.samples_per_sweep if samples is None else samples
         total = samples + n
         nseg = 1 + (samples - n) // (n - n // 2) if welch else 0
-        bins = total // 2 + 1 if references else 0
+        bins = total // 2 + 1
         j = -(-(nseg - 1).bit_length() // 2) if welch else 0
         self.window = np.ldexp(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n), -j)
         self.window_sum_sq = np.sum(self.window**2)
-        self.spectrum = np.empty(max(nseg * (n // 2 + 1), bins), dtype=complex)
-        self.draw = self.spectrum[:bins] if references == 1 else np.empty(bins, dtype=complex)
+        self.spectrum = np.empty(bins, dtype=complex)
+        self.draw = self.spectrum if references == 1 else np.empty(bins if references else 0, dtype=complex)
         self.time = np.empty(total if references else 0)
-        self.segments = np.empty((nseg, n))
+        self.segments = np.empty((min(nseg, bins // (n // 2 + 1)), n))  # one block; bins > n // 2 as samples >= n
 
 
 def _draw_spectrum(cfg: TraceConfig, sweep_index: int, draw: np.ndarray) -> None:
@@ -299,9 +304,12 @@ def _welch_ratio(x: np.ndarray, cfg: TraceConfig, workspace: _Workspace | None =
     """One-sided Welch PSD normalized so unit-variance white noise reads 1.
 
     Periodic Hann segments of `segment_length` at 50 % overlap, no detrend,
-    transformed as one 2-D rFFT with the window and buffers of `workspace` (a
-    `_Workspace` for `x.size` samples; a fresh one if None); a trailing part
-    shorter than one step is not used.
+    with the window and buffers of `workspace` (a `_Workspace` for `x.size`
+    samples; a fresh one if None); a trailing part shorter than one step is
+    not used.  Each block of `workspace.segments` rows is windowed,
+    transformed as one 2-D rFFT and squared, and its power rows summed by one
+    reduce whose first row holds the running sum, so the additions run in the
+    segment order, and give the bits, of one reduce over every segment.
     """
     n = cfg.segment_length
     if x.ndim != 1 or x.size < n:  # the strided view below trusts x.strides[0] as the sample stride
@@ -310,16 +318,22 @@ def _welch_ratio(x: np.ndarray, cfg: TraceConfig, workspace: _Workspace | None =
     step = n - n // 2  # the 50 %-overlap segments as one read-only view, cheaper than sliding_window_view
     segments = np.lib.stride_tricks.as_strided(
         x, (1 + (x.size - n) // step, n), (step * x.strides[0], x.strides[0]), writeable=False)
-    shape = (len(segments), n // 2 + 1)
-    spec = np.fft.rfft(np.multiply(segments, ws.window, out=ws.segments), axis=1,
-                       out=ws.spectrum[: shape[0] * shape[1]].reshape(shape))
-    # |X|^2 in place through the float view: square, add re and im columns, then np.mean's sum / count
-    parts = spec.view(float)
-    np.square(parts, out=parts)
-    power = np.add.reduce(np.add(parts[:, 0::2], parts[:, 1::2], out=parts[:, 0::2]), axis=0) / shape[0]
-    # a one-sided density 2|X|^2 / (fs sum w^2) reads 2/fs for unit-variance
-    # white noise; drop the DC and last bins, whose one-sided scaling differs
-    return power[1:-1] / ws.window_sum_sq
+    power = None
+    for start in range(0, len(segments), len(ws.segments)):
+        block = segments[start : start + len(ws.segments)]
+        shape = (len(block), n // 2 + 1)
+        spec = np.fft.rfft(np.multiply(block, ws.window, out=ws.segments[: shape[0]]), axis=1,
+                           out=ws.spectrum[: shape[0] * shape[1]].reshape(shape))
+        # |X|^2 in place through the float view: square, then add the re and im columns
+        parts = spec.view(float)
+        np.square(parts, out=parts)
+        rows = np.add(parts[:, 0::2], parts[:, 1::2], out=parts[:, 0::2])
+        if power is not None:  # the running sum goes first, so the reduce adds in one-block order
+            rows[0] += power
+        power = np.add.reduce(rows, axis=0)
+    # np.mean's sum / count; a one-sided density 2|X|^2 / (fs sum w^2) reads 2/fs for
+    # unit-variance white noise; drop the DC and last bins, whose one-sided scaling differs
+    return (power / len(segments))[1:-1] / ws.window_sum_sq
 
 
 def _ratio_to_trace(ratio: np.ndarray, cfg: TraceConfig, label: TraceLabel) -> SpectrumTrace:
@@ -361,6 +375,8 @@ def averaged_psd(
     """
     single = not isinstance(target_spectrum, list)
     references = [(target_spectrum, label)] if single else target_spectrum
+    if not references:
+        raise ValueError("target_spectrum must list at least one (target, label) reference, got []")
     invariants = _sweep_invariants(cfg, [target for target, _ in references], tone)
 
     per_sweep = cfg.synthesized_samples * len(invariants)

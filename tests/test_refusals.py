@@ -1,10 +1,10 @@
-"""Library maps refuse a non-finite input with a ValueError that names the
-argument, instead of returning inf or NaN or raising some other error."""
+"""Library maps refuse a non-finite or empty input with a ValueError that names
+the argument, instead of returning inf or NaN or raising some other error."""
 import math
 
 import pytest
 
-from squeezelab import capacity, gaussian, homodyne, spectrum
+from squeezelab import capacity, gaussian, homodyne, spectrum, tracesim
 from squeezelab.gaussian import LossModel, QuadratureState
 
 OP = spectrum.OpaOperatingPoint(pump_power=0.05, threshold_power=0.145, cavity_hwhm=10.9e6)
@@ -36,6 +36,8 @@ OP = spectrum.OpaOperatingPoint(pump_power=0.05, threshold_power=0.145, cavity_h
                  id="ideal_spectrum(nan)"),
     pytest.param("start", lambda: capacity.default_nbar_grid(math.nan, 1.0, 3), id="default_nbar_grid(nan, ...)"),
     pytest.param("stop", lambda: capacity.default_nbar_grid(0.01, math.inf, 3), id="default_nbar_grid(..., inf)"),
+    pytest.param("target_spectrum", lambda: tracesim.averaged_psd(tracesim.TraceConfig(duration=1e-4, sweeps=2), []),
+                 id="averaged_psd(cfg, [])"),
 ])
 def test_non_finite_input_is_refused_by_name(name, call):
     with pytest.raises(ValueError, match=rf"^{name} must"):
