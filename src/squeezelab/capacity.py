@@ -37,6 +37,8 @@ class CapacityCurve:
         self.capacities = np.asarray(self.capacities, dtype=float)
         if self.nbar_grid.shape != self.capacities.shape:
             raise ValueError("grid and capacities must be aligned")
+        if not (np.isfinite(self.nbar_grid).all() and not np.isinf(self.capacities).any()):
+            raise ValueError("nbar_grid must be finite and capacities finite or NaN")
 
 
 def capacity_coherent(nbar):
@@ -82,6 +84,8 @@ def holevo_bound(nbar):
 def default_nbar_grid(start: float, stop: float, points: int):
     for name, value in (("start", start), ("stop", stop)):
         _require(0.0 < value < math.inf, value, f"{name} must be finite and > 0")
+    if not (isinstance(points, (int, np.integer)) and 0 <= points <= MAX_NBAR_POINTS):
+        raise ValueError(f"points must be an int in [0, {MAX_NBAR_POINTS}], got {points!r}")
     return np.geomspace(start, stop, points)
 
 
@@ -92,8 +96,8 @@ def curve_suite(nbar_grid, r: float) -> list[CapacityCurve]:
     NaN so plots show a gap rather than a spurious zero.
     """
     grid = np.asarray(nbar_grid, dtype=float)
-    if grid.size == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("nbar grid must be positive and strictly increasing")
+    if grid.ndim != 1 or not (grid.size and np.all((0.0 < grid) & (grid < math.inf)) and np.all(np.diff(grid) > 0)):
+        raise ValueError("nbar_grid must be a 1-D array, finite, positive and strictly increasing")
     coh = capacity_coherent(grid)
     det = capacity_coherent_squeezed_detection(grid, r)
     enc = np.full_like(grid, math.nan)

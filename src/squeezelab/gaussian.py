@@ -27,6 +27,8 @@ class QuadratureState:
     squeeze_r: float = 0.0
 
     def __post_init__(self):
+        if not abs(self.mean_amplitude) < math.inf:
+            raise ValueError(f"mean_amplitude must be finite, got {self.mean_amplitude}")
         if not (0.0 <= 2.0 * self.squeeze_r <= math.log(sys.float_info.max)):
             raise ValueError(f"squeeze_r must be >= 0 with a finite e^(2r), got {self.squeeze_r}")
 

@@ -26,8 +26,8 @@ class HomodyneConfig:
     def __post_init__(self):
         if self.opa_power < 0.0:
             raise ValueError(f"opa_power must be >= 0, got {self.opa_power}")
-        if self.lo_power <= 0.0:
-            raise ValueError(f"lo_power must be > 0, got {self.lo_power}")
+        if not 0.0 < self.lo_power < math.inf:
+            raise ValueError(f"lo_power must be {'> 0' if self.lo_power <= 0.0 else 'finite'}, got {self.lo_power}")
         if not math.isfinite(self.power_ratio):
             raise ValueError(f"opa_power / lo_power must be finite, got {self.power_ratio}")
 
@@ -45,14 +45,18 @@ def blocked_shot_noise_ratio(squeezed_variance, power_ratio):
     v, p = np.asarray(squeezed_variance, dtype=float), np.asarray(power_ratio, dtype=float)
     _require((0.0 < v) & (v < math.inf), v, "squeezed_variance must be finite and > 0")
     _require((0.0 <= p) & (p < math.inf), p, "power_ratio must be finite and >= 0")
-    return p + v
+    with np.errstate(over="ignore"):
+        ratio = p + v
+    _require(ratio < math.inf, ratio, "squeezed_variance + power_ratio must be finite")
+    return ratio
 
 
 def correct_blocked_shot_noise(observed_ratio, power_ratio):
     """Recover exp(-2r) when the shot-noise reference had the bright beam blocked."""
     p = np.asarray(power_ratio, dtype=float)
     _require((0.0 <= p) & (p < math.inf), p, "power_ratio must be finite and >= 0")
-    result = np.asarray(observed_ratio, dtype=float) - p
+    with np.errstate(over="ignore"):  # a difference that overflows is refused as non-physical
+        result = np.asarray(observed_ratio, dtype=float) - p
     _require((0.0 < result) & (result < math.inf), result,
              "non-physical input: the corrected variance must lie in (0, inf)")
     return result
@@ -68,4 +72,6 @@ def equal_power_shot_noise_ratio(squeezed_variance, power_ratio):
 
 def correct_equal_power_shot_noise(observed_ratio, power_ratio):
     """Recover exp(-2r) when the reference was an equal-power classical beam."""
-    return correct_blocked_shot_noise(observed_ratio * (1.0 + power_ratio), power_ratio)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below: an infinite power_ratio or product
+        blocked = observed_ratio * (1.0 + power_ratio)
+    return correct_blocked_shot_noise(blocked, power_ratio)

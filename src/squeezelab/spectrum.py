@@ -26,6 +26,7 @@ from .gaussian import _require
 DEFAULT_GRID_START = 1e6
 DEFAULT_GRID_STOP = 25e6
 DEFAULT_GRID_STEP = 30e3
+MAX_GRID_POINTS = 1_000_000  # most points default_frequency_grid gives: 8 MB a float64 array
 CSV_CHUNK_ROWS = 4096  # rows formatted per write, so memory does not grow with the row count
 
 
@@ -104,12 +105,12 @@ class SpectrumTrace:
     def __post_init__(self):
         self.frequencies = np.asarray(self.frequencies, dtype=float)
         self.values_db = np.asarray(self.values_db, dtype=float)
-        if self.frequencies.shape != self.values_db.shape:
-            raise ValueError("frequencies and values_db must have equal length")
+        if self.frequencies.ndim != 1 or self.frequencies.shape != self.values_db.shape:
+            raise ValueError("frequencies and values_db must be 1-D arrays of equal length")
         for name in ("frequencies", "values_db"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        if np.any(np.diff(self.frequencies) <= 0):
+        if np.any(self.frequencies[1:] <= self.frequencies[:-1]):
             raise ValueError("frequencies must be strictly increasing")
 
     def ratio(self) -> np.ndarray:
@@ -233,10 +234,18 @@ def read_traces_csv(path) -> list[SpectrumTrace]:
 def default_frequency_grid(
     start=DEFAULT_GRID_START, stop=DEFAULT_GRID_STOP, step=DEFAULT_GRID_STEP
 ) -> np.ndarray:
+    """start, start + step, ... through stop (within half a step): 1 to MAX_GRID_POINTS points."""
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        _require(abs(value) < math.inf, value, f"{name} must be finite")
+    _require(step > 0.0, step, "step must be > 0")
+    _require(start <= stop, stop, f"stop must be >= start = {start}")
+    _require((stop + 0.5 * step - start) / step <= MAX_GRID_POINTS, step,
+             f"step must give at most {MAX_GRID_POINTS} points from start to stop")
     return np.arange(start, stop + 0.5 * step, step)
 
 
 def flat_trace(level_db: float, frequencies, label=TraceLabel.SHOT_NOISE) -> SpectrumTrace:
+    _require(abs(level_db) < math.inf, level_db, "level_db must be finite")
     freqs = np.asarray(frequencies, float)
     return SpectrumTrace(freqs, np.full_like(freqs, float(level_db)), label)
 
@@ -284,10 +293,12 @@ def detected_variance(
 def detected_spectrum(
     op: OpaOperatingPoint,
     chain: DetectionChain,
-    omega_grid,
+    omega,
     quadrature: TraceLabel = TraceLabel.SQUEEZED_QUADRATURE,
 ) -> SpectrumTrace:
-    """Detected spectrum over a frequency grid, in dB relative to shot noise."""
-    freqs = np.asarray(omega_grid, dtype=float)
+    """Detected spectrum over the frequency grid omega, in dB relative to shot noise."""
+    freqs = np.asarray(omega, dtype=float)
+    if freqs.ndim != 1 or np.any(freqs[1:] <= freqs[:-1]):
+        raise ValueError("omega must be a strictly increasing 1-D grid")
     values = gaussian.ratio_to_db(detected_variance(op, chain, freqs, quadrature))
     return SpectrumTrace(freqs, values, quadrature)

@@ -155,7 +155,8 @@ class TestArrays:
         with pytest.raises(ValueError, match="^grid and capacities must be aligned$"):
             CapacityCurve([0.1, 0.2], [1.0], BoundKind.HOLEVO)
         for grid in ([], [0.2, 0.1], [0.0, 0.1]):  # empty, not increasing, not positive
-            with pytest.raises(ValueError, match="^nbar grid must be positive and strictly increasing$"):
+            with pytest.raises(ValueError,
+                               match="^nbar_grid must be a 1-D array, finite, positive and strictly increasing$"):
                 curve_suite(grid, R_PAPER)
 
 

@@ -654,7 +654,7 @@ class TestOutputWriter:
         assert err.startswith("configuration error") and str(out) in err
 
 
-SCRIPTS = Path(__file__).parents[1] / "scripts"
+SCRIPT = Path(__file__).parents[1] / "scripts" / "reproduce_paper.py"
 
 
 def read_rows(path: Path) -> list[dict[str, str]]:
@@ -698,31 +698,9 @@ def check_capacity_outputs(out: Path) -> None:
     assert np.all(coh <= det) and np.all(det <= hol)
 
 
-# each script's CSVs are read back against the criteria they reproduce;
-# criterion 7 on the modulation script is test_modulation_script_buries_the_tone_only_classically
-@pytest.mark.parametrize("script, pairs, check", [
-    ("reproduce_squeezing_spectrum.py", 5, check_squeezing_outputs),
-    ("reproduce_modulation_detection.py", 1, None),
-    ("reproduce_capacity_curves.py", 2, check_capacity_outputs),
-], ids=["reproduce_squeezing_spectrum.py-5", "reproduce_modulation_detection.py-1", "reproduce_capacity_curves.py-2"])
-def test_script_writes_its_outputs(tmp_path, script, pairs, check):
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), str(tmp_path)],
-        capture_output=True, text=True, env=src_env(), timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    stems = sorted(p.stem for p in tmp_path.glob("*.csv"))
-    assert len(stems) == pairs
-    assert stems == sorted(p.stem for p in tmp_path.glob("*.meta"))
-    if check is not None:
-        check(tmp_path)
-
-
-def test_modulation_script_buries_the_tone_only_classically(tmp_path):
-    # the criterion-7 checks, on the CSV the script's own arguments write
-    argv = runpy.run_path(str(SCRIPTS / "reproduce_modulation_detection.py"))["ARGV"]
-    assert run_cli("--out", str(tmp_path), *argv) == 0
-    coherent, squeezed = read_traces_csv(next(tmp_path.glob("interfere-*.csv")))
+def check_modulation_output(interfere_csv: Path) -> None:
+    # criterion 7: the tone is buried under shot noise and resolved under squeezing
+    coherent, squeezed = read_traces_csv(interfere_csv)
     assert coherent.label is TraceLabel.SHOT_NOISE
     assert squeezed.label is TraceLabel.SQUEEZED_QUADRATURE
     f = coherent.frequencies
@@ -737,6 +715,32 @@ def test_modulation_script_buries_the_tone_only_classically(tmp_path):
     assert 10 * np.log10(floor_coh / floor_sq) == pytest.approx(expected_db, abs=0.3)
 
 
+def interfere_argv() -> list[str]:
+    """The paper script's interfere run, read without running the script."""
+    return runpy.run_path(str(SCRIPT))["INTERFERE"]
+
+
+def test_script_writes_its_outputs(tmp_path):
+    # the script's eight CSVs, each with its .meta, read back against the criteria they reproduce
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), str(tmp_path)],
+        capture_output=True, text=True, env=src_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stems = sorted(p.stem for p in tmp_path.glob("*.csv"))
+    assert len(stems) == 8
+    assert stems == sorted(p.stem for p in tmp_path.glob("*.meta"))
+    check_squeezing_outputs(tmp_path)
+    check_modulation_output(next(tmp_path.glob("interfere-*.csv")))
+    check_capacity_outputs(tmp_path)
+
+
+def test_modulation_script_buries_the_tone_only_classically(tmp_path):
+    # the criterion-7 checks, on the CSV the script's own interfere arguments write
+    assert run_cli("--out", str(tmp_path), *interfere_argv()) == 0
+    check_modulation_output(next(tmp_path.glob("interfere-*.csv")))
+
+
 NO_FLOOR = ["--set", "trace.electronic_floor_db=none"]
 
 
@@ -749,8 +753,8 @@ def log10_target() -> str:
 
 def csv_digest(out, argv) -> str:
     """sha256 of the one CSV that the CLI run `argv` writes into the empty directory `out`."""
-    if not argv or argv[0].startswith("-"):  # no subcommand: the modulation script's run
-        argv = runpy.run_path(str(SCRIPTS / "reproduce_modulation_detection.py"))["ARGV"] + argv
+    if not argv or argv[0].startswith("-"):  # no subcommand: the paper script's interfere run
+        argv = interfere_argv() + argv
     assert run_cli("--out", str(out), *argv) == 0
     return hashlib.sha256(next(Path(out).glob("*.csv")).read_bytes()).hexdigest()
 
@@ -767,7 +771,7 @@ NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 # part of the shaping gain; the synthesized ones since each sweep's noise is shaped in single
 # precision, so they also pin numpy's float32 irFFT
 PINNED = [
-    # the modulation script's own arguments
+    # the paper script's interfere arguments
     ([], {X86_V4: "e9ab1c5a5cdc129cdffde62f68781683e1d0208c2b3d868225e280420c9d5595",
           BASELINE: "955adf0c2eace80feb58678303f7dcf33adf9b344e6cb014ee944cd44cc8f3a1"}),
     (NO_FLOOR, {X86_V4: "12164f2b05cbce709a53bd54aaf6024689eec65084aa9b2d182a1f00653dc616",

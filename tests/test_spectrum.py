@@ -230,7 +230,7 @@ class TestSpectrumTrace:
             SpectrumTrace(np.array(frequencies), np.array(values), TraceLabel.SHOT_NOISE)
 
     def test_flat_trace_rejects_a_nan_level(self):
-        with pytest.raises(ValueError, match="^values_db must be finite$"):
+        with pytest.raises(ValueError, match="^level_db must be finite, got nan$"):
             flat_trace(math.nan, [1.0])
 
     def test_ratio_extrapolates_to_shot_noise_above_band(self):

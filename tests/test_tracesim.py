@@ -705,7 +705,7 @@ class TestSinglePrecision:
         assert np.max(np.abs(psd.values_db - want.values_db)) < 1e-4
 
     def test_single_segment_interfere_matches_double_precision(self):
-        # the modulation script's run: two references and the tone
+        # the paper script's interfere run: two references and the tone
         scn = scenario.paper_preset()
         cfg = replace(scn.trace, seed=2, sweeps=10, duration=5e-5)
         icfg = scn.interfere
