@@ -720,19 +720,38 @@ def interfere_argv() -> list[str]:
     return runpy.run_path(str(SCRIPT))["INTERFERE"]
 
 
-def test_script_writes_its_outputs(tmp_path):
-    # the script's eight CSVs, each with its .meta, read back against the criteria they reproduce
+@pytest.fixture(scope="module")
+def script_out(tmp_path_factory) -> Path:
+    """The directory that one run of the paper script wrote: eight CSVs, each with its .meta."""
+    out = tmp_path_factory.mktemp("paper")
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), str(tmp_path)],
+        [sys.executable, str(SCRIPT), str(out)],
         capture_output=True, text=True, env=src_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    stems = sorted(p.stem for p in tmp_path.glob("*.csv"))
+    stems = sorted(p.stem for p in out.glob("*.csv"))
     assert len(stems) == 8
-    assert stems == sorted(p.stem for p in tmp_path.glob("*.meta"))
-    check_squeezing_outputs(tmp_path)
-    check_modulation_output(next(tmp_path.glob("interfere-*.csv")))
-    check_capacity_outputs(tmp_path)
+    assert stems == sorted(p.stem for p in out.glob("*.meta"))
+    return out
+
+
+def check_interfere_output(out: Path) -> None:
+    check_modulation_output(next(out.glob("interfere-*.csv")))
+
+
+# the script's outputs in the three parts that reproduce_squeezing_spectrum.py,
+# reproduce_modulation_detection.py and reproduce_capacity_curves.py wrote before one script
+# replaced them; each part's CSVs, each with its .meta, read back against the criteria they reproduce
+@pytest.mark.parametrize("part, pairs, commands, check", [
+    ("reproduce_squeezing_spectrum.py", 5, ("cavity", "spectrum", "trace", "correct"), check_squeezing_outputs),
+    ("reproduce_modulation_detection.py", 1, ("interfere",), check_interfere_output),
+    ("reproduce_capacity_curves.py", 2, ("capacity",), check_capacity_outputs),
+], ids=["reproduce_squeezing_spectrum.py-5", "reproduce_modulation_detection.py-1", "reproduce_capacity_curves.py-2"])
+def test_script_writes_its_outputs(script_out, part, pairs, commands, check):
+    stems = [p.stem for p in script_out.glob("*.csv") if p.stem.split("-")[0] in commands]
+    assert len(stems) == pairs, part
+    assert all((script_out / f"{stem}.meta").is_file() for stem in stems)
+    check(script_out)
 
 
 def test_modulation_script_buries_the_tone_only_classically(tmp_path):
