@@ -5,7 +5,7 @@ Subcommands:
   spectrum   analytic detected squeezing spectrum
   correct    bright-beam shot-noise corrections of an observed dB value, at the
              scenario's power ratio homodyne.opa_power / homodyne.lo_power
-  interfere  tone PSDs under a coherent and a squeezed floor (up to interfere.band_max)
+  interfere  tone PSDs under a coherent and a squeezed floor (to the 20 MHz band edge)
   trace      PSD of a synthesized photocurrent trace against the analytic target
   capacity   channel-capacity curves versus mean photon number
 
@@ -124,9 +124,9 @@ def run_correct(scn: Scenario, args):
 def run_interfere(scn: Scenario, args):
     cfg = scn.trace
     icfg = scn.interfere
-    # ratio_at holds the one point's floor below band_max and is shot noise above it
+    # ratio_at holds the one point's floor below the band's top and is shot noise above it
     squeezed_target = spectrum.flat_trace(
-        icfg.squeezed_floor_db, [icfg.band_max], TraceLabel.SQUEEZED_QUADRATURE
+        icfg.squeezed_floor_db, [spectrum.SQUEEZING_BAND_STOP], TraceLabel.SQUEEZED_QUADRATURE
     )
     tone = (icfg.tone_frequency, tracesim.tone_amplitude_for_db(icfg.tone_db_rel_shot, cfg))
     # one sweep loop for both references: each sweep's noise is drawn once

@@ -49,8 +49,7 @@ class InterfereConfig:
     # tone level in one RBW bin, dB rel. shot noise; the default 3-bin VBW
     # displays it 3.01 dB lower (see tracesim.tone_amplitude_for_db)
     tone_db_rel_shot: float = -1.0
-    squeezed_floor_db: float = -3.2  # squeezed floor, dB rel. shot, from 0 Hz up to band_max
-    band_max: float = 20e6  # Hz, top of the squeezing band; shot noise above it
+    squeezed_floor_db: float = -3.2  # dB rel. shot, from 0 Hz up to spectrum.SQUEEZING_BAND_STOP (20 MHz)
 
     def __post_init__(self):
         if not -90.0 <= self.squeezed_floor_db < 0.0:  # the float32 shaping resolves about 90 dB of span
@@ -87,7 +86,6 @@ class Scenario:
         """Cross-section consistency checks beyond per-section invariants."""
         self.operating_point()
         for name, freq in (("interfere.tone_frequency", self.interfere.tone_frequency),
-                           ("interfere.band_max", self.interfere.band_max),
                            ("the spectrum and trace grid top", DEFAULT_GRID_STOP)):
             self.trace.check_frequency(freq, name)
         tone_amplitude_for_db(self.interfere.tone_db_rel_shot, self.trace)  # the tone's own level checks

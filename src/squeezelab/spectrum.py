@@ -26,6 +26,7 @@ from .gaussian import _require
 DEFAULT_GRID_START = 1e6
 DEFAULT_GRID_STOP = 25e6
 DEFAULT_GRID_STEP = 30e3
+SQUEEZING_BAND_STOP = 20e6  # Hz, the paper's squeezing bandwidth; below the grid top, so below Nyquist
 MAX_GRID_POINTS = 1_000_000  # most points default_frequency_grid gives: 8 MB a float64 array
 CSV_CHUNK_ROWS = 4096  # rows formatted per write, so memory does not grow with the row count
 
@@ -115,7 +116,10 @@ class SpectrumTrace:
 
     def ratio(self) -> np.ndarray:
         """Linear power ratio relative to shot noise."""
-        return 10.0 ** (self.values_db / 10.0)
+        with np.errstate(over="ignore"):  # values_db above about 3082.5 overflow: refused by name below
+            ratio = 10.0 ** (self.values_db / 10.0)
+        _require(ratio < math.inf, self.values_db, "values_db must give a finite power ratio")
+        return ratio
 
     def ratio_at(self, freqs) -> np.ndarray:
         """Linear ratio interpolated onto `freqs`.
@@ -123,6 +127,8 @@ class SpectrumTrace:
         Holds the low-frequency edge value below the grid and returns to
         shot noise (ratio 1) above it.
         """
+        if not self.frequencies.size:
+            raise ValueError("frequencies must hold at least one point to interpolate from")
         return np.interp(np.asarray(freqs, float), self.frequencies, self.ratio(), right=1.0)
 
 

@@ -165,7 +165,10 @@ class PhotocurrentTrace:
 def sweep_rng(cfg: TraceConfig, sweep_index: int) -> np.random.Generator:
     """Independent, reproducible generator for one sweep: Philox keyed by the seed, the sweep
     index the counter's top 128 bits, the stream of `Philox(key=seed).jumped(sweep_index)`."""
-    k = operator.index(sweep_index)
+    try:
+        k = operator.index(sweep_index)
+    except TypeError:
+        raise ValueError(f"sweep_index must be an integer, got {sweep_index!r}") from None
     if not 0 <= k < 1 << 128:
         raise ValueError(f"sweep_index must be in [0, 2**128), got {k}")
     return np.random.Generator(np.random.Philox(key=cfg.seed, counter=k << 128))

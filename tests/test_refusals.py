@@ -56,6 +56,14 @@ OP = spectrum.OpaOperatingPoint(pump_power=0.05, threshold_power=0.145, cavity_h
     pytest.param("sweep_index", lambda: tracesim.sweep_rng(tracesim.TraceConfig(), -1), id="sweep_rng(cfg, -1)"),
     pytest.param("sweep_index", lambda: tracesim.sweep_rng(tracesim.TraceConfig(), 2**128),
                  id="sweep_rng(cfg, 2**128)"),
+    pytest.param("sweep_index", lambda: tracesim.sweep_rng(tracesim.TraceConfig(), 1.5), id="sweep_rng(cfg, 1.5)"),
+    pytest.param("sweep_index", lambda: tracesim.sweep_rng(tracesim.TraceConfig(), math.nan),
+                 id="sweep_rng(cfg, nan)"),
+    # a trace is accepted at any finite level and at no points, which its readers cannot read
+    pytest.param("values_db", lambda: spectrum.flat_trace(3090.0, [1.0]).ratio(), id="flat_trace(3090 dB).ratio()"),
+    pytest.param("frequencies",
+                 lambda: spectrum.SpectrumTrace([], [], spectrum.TraceLabel.SHOT_NOISE).ratio_at([1.0]),
+                 id="empty SpectrumTrace.ratio_at"),
 ])
 def test_non_finite_input_is_refused_by_name(name, call):
     with pytest.raises(ValueError, match=rf"^{name} must"):

@@ -56,12 +56,14 @@ class TestPaperPreset:
         assert inspect.signature(paper_preset).parameters == {}
 
     def test_every_key_is_read_by_a_subcommand(self):
-        # the EOM settings and the LO phase are library parameters, not scenario keys
+        # the EOM settings and the LO phase are library parameters, and the
+        # squeezing band's top is the paper's constant, not scenario keys
         flat = scenario.to_flat(paper_preset())
-        assert len(flat) == 31
+        assert len(flat) == 30
         assert not any(key.startswith("eom.") for key in flat)
         assert "homodyne.lo_phase_theta" not in flat
         assert "interfere.band_min" not in flat
+        assert "interfere.band_max" not in flat
         with pytest.raises(ScenarioError, match="eom.n_Z"):
             scenario.parse("eom.n_Z = 1.9\n")
 
@@ -122,7 +124,6 @@ class TestConfigFormat:
     @pytest.mark.parametrize("key, value, names", [
         ("trace.sample_rate", 50e6, "the spectrum and trace grid top"),
         ("interfere.tone_frequency", 60e6, "interfere.tone_frequency"),
-        ("interfere.band_max", 55e6, "interfere.band_max"),
     ])
     def test_nyquist_names_sample_rate_and_the_frequency(self, key, value, names):
         with pytest.raises(ScenarioError, match="trace.sample_rate") as exc:
@@ -204,6 +205,7 @@ CONFIG_ERRORS = [
      "trace.duration"),  # 1e7 retained and 1e7 warm-up samples: twice the cap
     (["interfere", "--set", "interfere.squeezed_floor_db=-150"],
      "interfere.squeezed_floor_db"),  # past the float32 shaping's 90 dB span
+    (["interfere", "--set", "interfere.band_max=2e7"], "interfere.band_max"),  # the band's top is a constant
     (["capacity", "--set", "capacity.squeeze_r=355"], "capacity.squeeze_r"),
     (["capacity", "--set", "capacity.nbar_max=1e308"], "capacity.nbar_max"),
     (["capacity", "--set", "capacity.squeeze_r=-1"], "capacity.squeeze_r"),
@@ -389,6 +391,14 @@ class TestCli:
         code = run_cli("cavity", "--set", "cavity.nope=1", "--out", str(tmp_path))
         assert code == 2
 
+    def test_config_line_with_the_removed_band_key_exits_2(self, tmp_path, capsys):
+        # a scenario file serialized while the band's top was a key still sets it
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(scenario.serialize(paper_preset()) + "interfere.band_max = 20000000.0\n")
+        assert run_cli("interfere", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+        assert "interfere.band_max: unknown configuration key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_set_without_value_exits_2(self, tmp_path, capsys):
         assert run_cli("cavity", "--set", "trace.seed", "--out", str(tmp_path)) == 2
         assert "trace.seed" in capsys.readouterr().err
@@ -485,7 +495,8 @@ class TestParserReuse:
         argv = ["cavity", "--set", "trace.seed=7", "--set", "opa.pump_power=0.05"]
         assert run_cli(*argv, "--out", str(tmp_path / "set")) == 0
         assert run_cli("cavity", "--out", str(tmp_path / "bare")) == 0
-        assert [p.stem for p in (tmp_path / "bare").glob("*.csv")] == ["cavity-8ee5e7657ec1"]
+        assert [p.stem for p in (tmp_path / "bare").glob("*.csv")] == [
+            stem for stem, pinned in META_STEMS.items() if pinned == ["cavity"]]
         assert cli.build_parser().parse_args(["cavity"]).set == []
 
     def test_correct_flags_do_not_leak_into_the_next_run(self, tmp_path):
@@ -852,13 +863,13 @@ print(json.dumps([t.log10_target(), digests]))
 
 # the stem names the files by a hash of the whole `.meta` record, so it pins that record
 META_STEMS = {
-    "cavity-8ee5e7657ec1": ["cavity"],
-    "spectrum-7feadbfe2eb2": ["spectrum"],
-    "capacity-6d7c5d9aac38": ["capacity"],
-    "correct-67e02a146b7a": ["correct", "--observed-db", "-3.75"],
-    "correct-272cb0aa8733": ["correct", "--observed-db", "-3.0", "--mode", "equal-power"],
-    "trace-ad81f56424b5": ["trace", "--set", "trace.sweeps=5"],
-    "interfere-783b9386ce4b": ["interfere", "--set", "trace.sweeps=5"],
+    "cavity-7d930a92e620": ["cavity"],
+    "spectrum-db5cb74c6151": ["spectrum"],
+    "capacity-99106801bf7c": ["capacity"],
+    "correct-818f12484383": ["correct", "--observed-db", "-3.75"],
+    "correct-e847b4adbcfd": ["correct", "--observed-db", "-3.0", "--mode", "equal-power"],
+    "trace-6db956592b36": ["trace", "--set", "trace.sweeps=5"],
+    "interfere-1432f019e3a8": ["interfere", "--set", "trace.sweeps=5"],
 }
 
 

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from squeezelab import cli, scenario, tracesim
 from squeezelab.gaussian import db_to_ratio
-from squeezelab.spectrum import SpectrumTrace, TraceLabel, default_frequency_grid, detected_spectrum, flat_trace
+from squeezelab.spectrum import (
+    SQUEEZING_BAND_STOP, SpectrumTrace, TraceLabel, default_frequency_grid, detected_spectrum, flat_trace,
+)
 from squeezelab.tracesim import (
     PhotocurrentTrace,
     TraceConfig,
@@ -709,7 +711,7 @@ class TestSinglePrecision:
         scn = scenario.paper_preset()
         cfg = replace(scn.trace, seed=2, sweeps=10, duration=5e-5)
         icfg = scn.interfere
-        squeezed = flat_trace(icfg.squeezed_floor_db, [icfg.band_max], TraceLabel.SQUEEZED_QUADRATURE)
+        squeezed = flat_trace(icfg.squeezed_floor_db, [SQUEEZING_BAND_STOP], TraceLabel.SQUEEZED_QUADRATURE)
         references = [(None, TraceLabel.SHOT_NOISE), (squeezed, TraceLabel.SQUEEZED_QUADRATURE)]
         tone = (icfg.tone_frequency, tone_amplitude_for_db(icfg.tone_db_rel_shot, cfg))
         for psd, want in zip(averaged_psd(cfg, references, tone), float64_psds(cfg, references, tone)):
