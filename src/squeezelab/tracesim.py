@@ -18,19 +18,25 @@ Philox generator keyed by the config seed whose counter's top 128 bits are
 the sweep index, the same stream as `jumped(sweep_index)`, so identical
 configs give bit-identical traces and spectra on one numpy build and SIMD
 dispatch target.  A sweep makes one draw for every reference shaped from
-it and takes one irFFT and one periodogram per reference.  Consecutive sweeps are grouped into tasks of at
-least `MIN_TASK_SAMPLES` synthesized samples times references.  A call with
-one task, or on one CPU, runs its tasks on the calling thread; otherwise a
-thread per CPU runs them.  The periodograms are summed in sweep order, so
-the result does not depend on the grouping or the number of threads.  Each
-thread reuses one workspace, sized from the config, holding the Hann window
-and the draw, spectrum, trace and one block of segments: Welch transforms
-as many segments at a time as their spectra fit in the draw's bins (20 of
-the preset's 39), which halves a thread's Welch buffers (to 1.6 MB at the
+it and takes one irFFT and one periodogram per reference.  Consecutive
+sweeps are grouped into tasks of at least `MIN_TASK_SAMPLES` synthesized
+samples times references.  A call with more tasks than CPUs runs them on a
+pool of one thread per CPU.  A call with at most one task per CPU, whose
+sweeps synthesize `SPLIT_SWEEP_SAMPLES` or more samples, is split into even
+runs of sweeps, one per `MIN_TASK_SAMPLES / 4` of its work and at most one
+per CPU: the calling thread runs the first and a helper thread each other
+one.  Any other call, and a call on one CPU, runs on the calling thread.
+The periodograms are summed in sweep order, so the result does not depend
+on the grouping or the number of threads.  Each thread reuses one
+workspace, sized from the config, holding the Hann window and the draw,
+spectrum, trace and one block of segments: Welch transforms as many
+segments at a time as their spectra fit in the draw's bins (20 of the
+preset's 39), which halves a thread's Welch buffers (to 1.6 MB at the
 preset) and keeps the bits of one sum over all.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -61,7 +67,22 @@ MAX_SAMPLES_PER_SWEEP = 10_000_000
 # sweep of 2 x 10 000 samples: 10 such sweeps took 19.0 ms of CPU as one task
 # each on two threads and 13.1 ms on the calling thread.  2**18 was picked from
 # 2**16..2**20 on the benchmark's two tracesim workloads (BENCH_task_grouping.json).
+# A run of at most one task per CPU starts no pool: it is split into shares of
+# MIN_TASK_SAMPLES / 4 or more on average, or runs on the calling thread.
 MIN_TASK_SAMPLES = 1 << 18
+
+# Least synthesized samples per sweep for which `averaged_psd` splits a run of
+# at most one task per CPU between the calling thread and a helper thread per
+# further share, one share per MIN_TASK_SAMPLES / 4 of work.  On a 2-vCPU host
+# (two references; median wall ratio, split over the calling thread alone, of
+# 15-25 alternating blocks of 20 calls; BENCH_short_split.json) sweeps of 1000
+# samples lost 1.44-1.55x at 10 to 131 sweeps and of 4000-4096 samples
+# 1.07-1.31x, while from 2**13 samples runs of 2 x MIN_TASK_SAMPLES / 4 or
+# more gained: 0.87-0.89 at 2**13, 0.72-0.82 at 2**14 and 0.74 on the
+# benchmark's 10 sweeps of 2 x 10 000 samples, for 1.13x the CPU.  Smaller
+# runs of such sweeps read 0.93-1.15 at 2 to 4 sweeps and 0.77-0.80 at 5 and
+# 6, so the share errs on the side of the calling thread.
+SPLIT_SWEEP_SAMPLES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -373,11 +394,17 @@ def averaged_psd(
     makes one draw and takes one irFFT and one periodogram per reference.
 
     A task is the fewest consecutive sweeps that hold `MIN_TASK_SAMPLES`
-    synthesized samples times references, or the sweeps that remain.  One
-    task, or one CPU, runs on the calling thread with no pool; more tasks run
-    on one thread per CPU, at most two tasks per thread in flight.  A task returns each of
-    its sweeps' periodograms, and they are summed in sweep order, so the result
-    is bit-identical for any grouping and any number of threads.
+    synthesized samples times references, or the sweeps that remain.  More
+    tasks than CPUs run on a pool of one thread per CPU, at most two tasks per
+    thread in flight.  At most one task per CPU, of sweeps that synthesize
+    `SPLIT_SWEEP_SAMPLES` or more samples, is cut into shares: even runs of
+    consecutive sweeps, one per `MIN_TASK_SAMPLES / 4` of the run's work and at
+    most one per CPU.  The calling thread runs the first share and a helper
+    thread each other one; a helper's error is raised here once every helper
+    has joined.  Any other run, and any run on one CPU, runs its tasks on the
+    calling thread.  Each task or share returns its sweeps' periodograms, and
+    they are summed in sweep order, so the result is bit-identical for any
+    grouping and any number of threads.
     """
     single = not isinstance(target_spectrum, list)
     references = [(target_spectrum, label)] if single else target_spectrum
@@ -387,15 +414,16 @@ def averaged_psd(
 
     per_sweep = cfg.synthesized_samples * len(invariants)
     per_task = -(-MIN_TASK_SAMPLES // per_sweep)  # the fewest sweeps that hold MIN_TASK_SAMPLES
-    starts = range(0, cfg.sweeps, per_task)
+    ntasks = -(-cfg.sweeps // per_task)
+    tasks = ((start, min(start + per_task, cfg.sweeps)) for start in range(0, cfg.sweeps, per_task))
     local = threading.local()  # each running thread's workspace
 
-    def task(start: int) -> list[list[np.ndarray]]:
+    def run(start: int, stop: int) -> list[list[np.ndarray]]:
         ws = getattr(local, "workspace", None)
         if ws is None:
             ws = local.workspace = _Workspace(cfg, references=len(invariants))
         ratios = []
-        for k in range(start, min(start + per_task, cfg.sweeps)):
+        for k in range(start, stop):
             _draw_spectrum(cfg, k, ws.draw)
             ratios.append([_welch_ratio(synthesize_trace(cfg, invariants=inv, workspace=ws).samples, cfg, ws)
                            for inv in invariants])
@@ -410,19 +438,43 @@ def averaged_psd(
 
     # the CPUs this process may run on
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = min(cpus, len(starts))
-    if threads == 1:  # one task or one CPU: the caller runs the tasks, no thread handoff
-        for start in starts:
-            fold(task(start))
-    else:
+    # a split run's shares: one per MIN_TASK_SAMPLES / 4 of its work, at most one per CPU and per sweep
+    shares = min(cpus, cfg.sweeps, cfg.sweeps * per_sweep // (MIN_TASK_SAMPLES // 4))
+    if ntasks > cpus > 1:
         from concurrent.futures import ThreadPoolExecutor  # imported here: most runs start no pool
 
-        ahead = 2 * threads  # tasks in flight; Executor.map would queue all of them at once
-        with ThreadPoolExecutor(threads) as ex:
-            pending = deque(ex.submit(task, start) for start in starts[:ahead])
-            for j in range(ahead, len(starts) + ahead):
+        with ThreadPoolExecutor(cpus) as ex:  # two tasks per thread in flight; Executor.map would queue all
+            pending = deque(ex.submit(run, *t) for t in itertools.islice(tasks, 2 * cpus))
+            while pending:
                 fold(pending.popleft().result())
-                if j < len(starts):
-                    pending.append(ex.submit(task, starts[j]))
+                if (t := next(tasks, None)) is not None:
+                    pending.append(ex.submit(run, *t))
+    elif shares < 2 or cfg.synthesized_samples < SPLIT_SWEEP_SAMPLES:  # the caller runs the tasks
+        for t in tasks:
+            fold(run(*t))
+    else:  # even runs of sweeps: the caller runs share 0 and a helper thread each other share
+        bounds = [cfg.sweeps * i // shares for i in range(shares + 1)]
+        results: list = [None] * shares
+
+        def share(i: int) -> None:
+            try:
+                results[i] = run(bounds[i], bounds[i + 1])
+            except BaseException as exc:  # re-raised by the caller
+                results[i] = exc
+
+        helpers = []
+        try:
+            for i in range(1, shares):
+                helper = threading.Thread(target=share, args=(i,))
+                helper.start()
+                helpers.append(helper)
+            results[0] = run(bounds[0], bounds[1])
+        finally:
+            for helper in helpers:
+                helper.join()
+        for ratios in results:
+            if isinstance(ratios, BaseException):
+                raise ratios
+            fold(ratios)
     psds = [_ratio_to_trace(a / cfg.sweeps, cfg, lab) for a, (_, lab) in zip(accs, references)]
     return psds[0] if single else psds

@@ -100,7 +100,7 @@ def tasks_of(monkeypatch, sweeps, cfg, references):
 
 
 def count_tasks(monkeypatch):
-    """Record the start sweep of each task averaged_psd hands to its thread pool."""
+    """Record the (start, stop) sweeps of each task averaged_psd hands to its thread pool."""
     submitted = []
 
     class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
@@ -110,6 +110,42 @@ def count_tasks(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
     return submitted
+
+
+class Dispatch:
+    """Where averaged_psd runs its sweeps: `started` counts the threads started and `drawn`
+    maps each thread to the sweeps it drew, in order, from the last `clear()` on."""
+
+    def __init__(self, monkeypatch):
+        self.lock = threading.Lock()
+        self.clear()
+        draw, start = tracesim._draw_spectrum, threading.Thread.start
+
+        def recording_draw(cfg, k, out):
+            with self.lock:
+                self.drawn.setdefault(threading.current_thread(), []).append(k)
+            draw(cfg, k, out)
+
+        def counting_start(thread):
+            with self.lock:
+                self.started += 1
+            start(thread)
+
+        monkeypatch.setattr(tracesim, "_draw_spectrum", recording_draw)
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+
+    def clear(self):
+        self.started, self.drawn = 0, {}
+
+    def shares(self):
+        """The sweeps each thread drew: the calling thread's, then the other threads' by first sweep."""
+        me = threading.current_thread()
+        return [self.drawn.get(me, []), *sorted((k for t, k in self.drawn.items() if t is not me), key=min)]
+
+
+def runs(*bounds):
+    """The shares of sweeps [bounds[0], bounds[1]), [bounds[1], bounds[2]), ... as `Dispatch.shares` lists them."""
+    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 class TestConfig:
@@ -533,7 +569,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_grouped_tasks_equal_serial_fold(self, monkeypatch, cpus):
-        # 7 sweeps in tasks of 3, 3 and 1, run on 2 or 3 pool threads
+        # 7 sweeps in tasks of 3, 3 and 1: on 2 CPUs the pool runs them; on 3, one task per
+        # CPU, the caller and two helper threads run even shares of 2, 2 and 3 sweeps
         scn = scenario.paper_preset()
         target = detected_spectrum(scn.operating_point(), scn.chain, default_frequency_grid())
         cfg = cfg_with(sweeps=7, electronic_floor_db=-12.0)
@@ -542,8 +579,15 @@ class TestDeterminism:
         tasks_of(monkeypatch, 3, cfg, len(references))
         use_cpus(monkeypatch, cpus)
         submitted = count_tasks(monkeypatch)
+        dispatch = Dispatch(monkeypatch)
         psds = averaged_psd(cfg, references, tone)
-        assert submitted == [(0,), (3,), (6,)]
+        if cpus == 2:
+            assert submitted == [(0, 3), (3, 6), (6, 7)]
+            assert sorted(k for sweeps in dispatch.shares() for k in sweeps) == list(range(7))
+        else:
+            assert submitted == []
+            assert dispatch.shares() == runs(0, 2, 4, 7)
+            assert dispatch.started == 2
         for pooled, (reference, label) in zip(psds, references):
             serial = serial_fold(cfg, reference, tone, label)
             assert np.array_equal(pooled.values_db, serial.values_db)
@@ -554,7 +598,9 @@ class TestDeterminism:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         use_cpus(monkeypatch, 2)
-        # the single-segment interfere run: 10 sweeps of one segment, both references in one task
+        dispatch = Dispatch(monkeypatch)
+        # the single-segment interfere run: 10 sweeps of one segment, both references in one
+        # task, whose first share the calling thread runs and whose second one helper runs
         cfg = replace(scenario.paper_preset().trace, duration=5e-5, sweeps=10)
         references = [(None, TraceLabel.SHOT_NOISE), (flat_trace(-3.2, default_frequency_grid()),
                                                       TraceLabel.SQUEEZED_QUADRATURE)]
@@ -563,13 +609,91 @@ class TestDeterminism:
         threads = threading.active_count()
         psds = averaged_psd(cfg, references, tone)
         assert threading.active_count() == threads
+        assert dispatch.shares() == runs(0, 5, 10)
+        assert dispatch.started == 1
         for psd, (reference, label) in zip(psds, references):
             assert np.array_equal(psd.values_db, serial_fold(cfg, reference, tone, label).values_db)
-        # one CPU: several tasks, still on the calling thread
+        # one CPU: several tasks, all on the calling thread
         use_cpus(monkeypatch, 1)
         cfg = cfg_with(sweeps=5)
         tasks_of(monkeypatch, 2, cfg, 1)
-        assert np.array_equal(averaged_psd(cfg).values_db, serial_fold(cfg, None, None, TraceLabel.SHOT_NOISE).values_db)
+        dispatch.clear()
+        psd = averaged_psd(cfg)
+        assert dispatch.shares() == runs(0, 5)
+        assert dispatch.started == 0
+        assert np.array_equal(psd.values_db, serial_fold(cfg, None, None, TraceLabel.SHOT_NOISE).values_db)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_short_run_splits_between_caller_and_helpers(self, monkeypatch, cpus):
+        # the benchmark's single-segment interfere run: 2 x 10 000 samples a sweep, 10 sweeps,
+        # one task, hence one share per CPU in even runs of sweeps, the caller's first
+        use_cpus(monkeypatch, cpus)
+        dispatch = Dispatch(monkeypatch)
+        cfg = replace(scenario.paper_preset().trace, duration=5e-5, sweeps=10)
+        references = [(None, TraceLabel.SHOT_NOISE), (flat_trace(-3.2, default_frequency_grid()),
+                                                      TraceLabel.SQUEEZED_QUADRATURE)]
+        tone = (4.5e6, tone_amplitude_for_db(-1.0, cfg))
+        threads = threading.active_count()
+        psds = averaged_psd(cfg, references, tone)
+        assert threading.active_count() == threads
+        assert dispatch.started == cpus - 1
+        assert dispatch.shares() == runs(*(10 * i // cpus for i in range(cpus + 1)))
+        for psd, (reference, label) in zip(psds, references):
+            assert np.array_equal(psd.values_db, serial_fold(cfg, reference, tone, label).values_db)
+
+    @pytest.mark.parametrize("rbw, duration, sweeps", [
+        (300e3, 5e-6, 40),  # 500-point segments: 1000 samples a sweep
+        (300e3, 5e-6, 131),  # the most such sweeps of two references in one task
+        (30e3, 5e-5, 2),  # two one-segment sweeps: 2 x 2 x 10 000 samples
+    ])
+    def test_short_runs_that_a_split_slows_start_no_thread(self, monkeypatch, rbw, duration, sweeps):
+        use_cpus(monkeypatch, 2)
+        dispatch = Dispatch(monkeypatch)
+        cfg = replace(scenario.paper_preset().trace, rbw=rbw, vbw=rbw / 3, duration=duration, sweeps=sweeps)
+        references = [(None, TraceLabel.SHOT_NOISE), (flat_trace(-3.2, default_frequency_grid()),
+                                                      TraceLabel.SQUEEZED_QUADRATURE)]
+        assert sweeps * 2 * cfg.synthesized_samples <= tracesim.MIN_TASK_SAMPLES  # one task
+        psds = averaged_psd(cfg, references, None)
+        assert dispatch.started == 0
+        assert dispatch.shares() == runs(0, sweeps)
+        for psd, (reference, label) in zip(psds, references):
+            assert np.array_equal(psd.values_db, serial_fold(cfg, reference, None, label).values_db)
+
+    def test_helper_error_is_raised_in_the_caller(self, monkeypatch):
+        class Sentinel(Exception):
+            pass
+
+        use_cpus(monkeypatch, 3)
+        draw = tracesim._draw_spectrum
+
+        def failing_draw(cfg, k, out):
+            if k == 7:  # in the last helper's share, sweeps 6 to 9
+                raise Sentinel
+            draw(cfg, k, out)
+
+        monkeypatch.setattr(tracesim, "_draw_spectrum", failing_draw)
+        dispatch = Dispatch(monkeypatch)
+        cfg = replace(scenario.paper_preset().trace, duration=5e-5, sweeps=10)
+        threads = threading.active_count()
+        with pytest.raises(Sentinel):
+            averaged_psd(cfg, [(None, TraceLabel.SHOT_NOISE), (None, TraceLabel.SHOT_NOISE)])
+        assert threading.active_count() == threads
+        assert dispatch.started == 2
+        assert dispatch.shares() == runs(0, 3, 6, 8)  # the last share stopped at sweep 7
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_largest_sweep_count_runs_its_first_sweep(self, monkeypatch, cpus):
+        # 2**128 sweeps are accepted; counting them as tasks must not overflow a C size
+        class Sentinel(Exception):
+            pass
+
+        def failing_draw(cfg, k, out):
+            raise Sentinel
+
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(tracesim, "_draw_spectrum", failing_draw)
+        with pytest.raises(Sentinel):
+            averaged_psd(cfg_with(sweeps=2**128))
 
     def test_memory_does_not_grow_with_sweeps(self, monkeypatch):
         # 500-sample sweeps: what grows with the sweep count is the queue of pending tasks.
@@ -609,30 +733,43 @@ class TestDeterminism:
         references = [(None, TraceLabel.SHOT_NOISE), (target, TraceLabel.SQUEEZED_QUADRATURE)]
         tasks_of(monkeypatch, 2, cfg, len(references))  # tasks of 2, 2 and 1 sweeps
         submitted = count_tasks(monkeypatch)
-        runs = []
+        dispatch = Dispatch(monkeypatch)
+        runs_by_cpus, dispatched = [], []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # more thread switches: a buffer shared between workers shows
         try:
             for cpus in (1, 2, 3):  # 3: more workers than cores on a 2-core machine
                 use_cpus(monkeypatch, cpus)
-                runs.append(averaged_psd(cfg, references, tone))
+                dispatch.clear()
+                runs_by_cpus.append(averaged_psd(cfg, references, tone))
+                dispatched.append((dispatch.started, dispatch.shares()))
         finally:
             sys.setswitchinterval(interval)
-        assert submitted == [(0,), (2,), (4,)] * 2  # one CPU runs the tasks on the calling thread
-        for psds in runs[1:]:
-            for first, other in zip(runs[0], psds):
+        # one CPU runs the tasks on the calling thread, two a pool of two threads, and three
+        # CPUs, one task each, split the sweeps between the caller and two helper threads
+        assert submitted == [(0, 2), (2, 4), (4, 5)]
+        assert dispatched[0] == (0, runs(0, 5))
+        assert sorted(k for sweeps in dispatched[1][1] for k in sweeps) == list(range(5))
+        assert dispatched[2] == (2, runs(0, 1, 3, 5))
+        for psds in runs_by_cpus[1:]:
+            for first, other in zip(runs_by_cpus[0], psds):
                 assert np.array_equal(first.values_db, other.values_db)
 
     def test_trace_csv_bytes_same_for_1_and_2_threads(self, monkeypatch, tmp_path):
-        # 12 sweeps of 25 000 synthesized samples: two tasks, so two CPUs start a pool
+        # 12 sweeps of 25 000 synthesized samples: two tasks, so two CPUs split the sweeps
+        # between the calling thread and one helper
         submitted = count_tasks(monkeypatch)
-        csvs = []
+        dispatch = Dispatch(monkeypatch)
+        csvs, dispatched = [], []
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
+            dispatch.clear()
             out = tmp_path / str(cpus)
             assert cli.main(["trace", "--out", str(out), "--set", "trace.sweeps=12", "--set", "trace.duration=2e-4"]) == 0
             csvs.append(next(out.glob("trace-*.csv")).read_bytes())
-        assert len(submitted) == 2
+            dispatched.append((dispatch.started, dispatch.shares()))
+        assert submitted == []
+        assert dispatched == [(0, runs(0, 12)), (1, runs(0, 6, 12))]
         assert csvs[0] == csvs[1]
 
     @pytest.mark.parametrize("duration", [1e-3, 1e-2])
