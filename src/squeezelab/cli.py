@@ -131,6 +131,10 @@ def run_interfere(scn: Scenario, args):
     tone = (icfg.tone_frequency, tracesim.tone_amplitude_for_db(icfg.tone_db_rel_shot, cfg))
     # one sweep loop for both references: each sweep's noise is drawn once
     references = [(None, TraceLabel.SHOT_NOISE), (squeezed_target, TraceLabel.SQUEEZED_QUADRATURE)]
+    try:
+        cfg.check_run(len(references))
+    except ValueError as exc:
+        raise ScenarioError(f"trace.sweeps: {exc}") from None
     psds = tracesim.averaged_psd(cfg, references, tone)
     report = "wrote coherent and squeezed reference PSDs"
     return spectrum.write_traces_csv, (psds,), report, {}

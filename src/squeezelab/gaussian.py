@@ -114,4 +114,4 @@ def db_to_ratio(d: float) -> float:
             return math.pow(10.0, d / 10.0)
     except OverflowError:
         pass
-    raise ValueError(f"must give a finite power ratio, got {d} dB")
+    raise ValueError(f"d must give a finite power ratio, got {d} dB")

@@ -55,10 +55,10 @@ def correct_blocked_shot_noise(observed_ratio, power_ratio):
     """Recover exp(-2r) when the shot-noise reference had the bright beam blocked."""
     p = np.asarray(power_ratio, dtype=float)
     _require((0.0 <= p) & (p < math.inf), p, "power_ratio must be finite and >= 0")
-    with np.errstate(over="ignore"):  # a difference that overflows is refused as non-physical
+    with np.errstate(over="ignore"):  # a difference that overflows is refused below
         result = np.asarray(observed_ratio, dtype=float) - p
     _require((0.0 < result) & (result < math.inf), result,
-             "non-physical input: the corrected variance must lie in (0, inf)")
+             "observed_ratio and power_ratio must give a corrected variance in (0, inf)")
     return result
 
 

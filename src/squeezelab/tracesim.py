@@ -18,16 +18,16 @@ Philox generator keyed by the config seed whose counter's top 128 bits are
 the sweep index, the same stream as `jumped(sweep_index)`, so identical
 configs give bit-identical traces and spectra on one numpy build and SIMD
 dispatch target.  A sweep makes one draw for every reference shaped from
-it and takes one irFFT and one periodogram per reference.  Consecutive
-sweeps are grouped into tasks of at least `MIN_TASK_SAMPLES` synthesized
-samples times references.  A call with more tasks than CPUs runs them on a
-pool of one thread per CPU.  A call with at most one task per CPU, whose
-sweeps synthesize `SPLIT_SWEEP_SAMPLES` or more samples, is split into even
-runs of sweeps, one per `MIN_TASK_SAMPLES / 4` of its work and at most one
-per CPU: the calling thread runs the first and a helper thread each other
-one.  Any other call, and a call on one CPU, runs on the calling thread.
+it and takes one irFFT and one periodogram per reference.  A call's
+sweeps are cut into tasks, even runs of consecutive sweeps, and one loop
+runs them on the calling thread and on a helper thread per further thread:
+thread t runs task t, then the next task nobody has taken.  One rule sets
+the threads: one if a sweep synthesizes fewer than `SPLIT_SWEEP_SAMPLES`
+samples; else one per CPU if the tasks of `MIN_TASK_SAMPLES` synthesized
+samples times references outnumber the CPUs; else one per task, the tasks
+then one per `MIN_TASK_SAMPLES / 4` of the work and at most one per CPU.
 The periodograms are summed in sweep order, so the result does not depend
-on the grouping or the number of threads.  Each thread reuses one
+on the tasks or the number of threads.  Each thread reuses one
 workspace, sized from the config, holding the Hann window and the draw,
 spectrum, trace and one block of segments: Welch transforms as many
 segments at a time as their spectra fit in the draw's bins (20 of the
@@ -36,12 +36,10 @@ preset) and keeps the bits of one sum over all.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,27 +59,38 @@ HANN_NENB_BINS = 1.5
 # for two with a tone (tracemalloc), 0.29 and 0.45 GB per thread at this cap.
 MAX_SAMPLES_PER_SWEEP = 10_000_000
 
-# Least work, in synthesized samples times shaped references, that
-# `averaged_psd` hands to a pool thread as one task of consecutive sweeps.  On
-# a 2-vCPU host a pool task cost about 0.6 ms of CPU beyond its sweeps, half a
-# sweep of 2 x 10 000 samples: 10 such sweeps took 19.0 ms of CPU as one task
-# each on two threads and 13.1 ms on the calling thread.  2**18 was picked from
-# 2**16..2**20 on the benchmark's two tracesim workloads (BENCH_task_grouping.json).
-# A run of at most one task per CPU starts no pool: it is split into shares of
-# MIN_TASK_SAMPLES / 4 or more on average, or runs on the calling thread.
+# Most samples one run may synthesize, sweeps x `synthesized_samples` x shaped
+# references.  On one CPU of a 2-vCPU host a sweep costs about 34 ns per
+# synthesized sample and reference at the preset (20 sweeps in 72 ms) and
+# 56-84 ns for sweeps of 1000 samples (2000 sweeps of two references in
+# 224-335 ms), so this cap is 9-23 hours of one CPU: a run past it (2**128
+# sweeps, say) would not finish and is refused.
+MAX_RUN_SAMPLES = 10**12
+
+# Least work, in synthesized samples times shaped references, of one task of
+# consecutive sweeps in `averaged_psd`.  On a 2-vCPU host a task run on a pool
+# thread cost about 0.6 ms of CPU beyond its sweeps, half a sweep of 2 x 10 000
+# samples: 10 such sweeps took 19.0 ms of CPU as one task each on two threads
+# and 13.1 ms on the calling thread.  2**18 was picked from 2**16..2**20 on the
+# benchmark's two tracesim workloads (BENCH_task_grouping.json).  A run of at
+# most one such task per CPU is cut into one task per thread, of
+# MIN_TASK_SAMPLES / 4 or more on average.
 MIN_TASK_SAMPLES = 1 << 18
 
-# Least synthesized samples per sweep for which `averaged_psd` splits a run of
-# at most one task per CPU between the calling thread and a helper thread per
-# further share, one share per MIN_TASK_SAMPLES / 4 of work.  On a 2-vCPU host
-# (two references; median wall ratio, split over the calling thread alone, of
-# 15-25 alternating blocks of 20 calls; BENCH_short_split.json) sweeps of 1000
-# samples lost 1.44-1.55x at 10 to 131 sweeps and of 4000-4096 samples
-# 1.07-1.31x, while from 2**13 samples runs of 2 x MIN_TASK_SAMPLES / 4 or
-# more gained: 0.87-0.89 at 2**13, 0.72-0.82 at 2**14 and 0.74 on the
-# benchmark's 10 sweeps of 2 x 10 000 samples, for 1.13x the CPU.  Smaller
-# runs of such sweeps read 0.93-1.15 at 2 to 4 sweeps and 0.77-0.80 at 5 and
-# 6, so the share errs on the side of the calling thread.
+# Least synthesized samples per sweep for which `averaged_psd` runs a call on
+# more than one thread.  On a 2-vCPU host (two references; median wall ratio
+# over the calling thread alone): an even split of one task per CPU (15-25
+# alternating blocks of 20 calls; BENCH_short_split.json) lost 1.44-1.55x on
+# sweeps of 1000 samples at 10 to 131 sweeps and 1.07-1.31x on 4000-4096, and
+# from 2**13 samples runs of 2 x MIN_TASK_SAMPLES / 4 or more gained: 0.87-0.89
+# at 2**13, 0.72-0.82 at 2**14 and 0.74 on the benchmark's 10 sweeps of 2 x
+# 10 000 samples, for 1.13x the CPU.  Smaller runs of such sweeps read
+# 0.93-1.15 at 2 to 4 sweeps and 0.77-0.80 at 5 and 6, so the share errs on
+# the side of the calling thread.  Runs of more tasks than CPUs read alike
+# (two sets of medians of 15 calls; BENCH_one_dispatch.json): a pool of two
+# threads lost 1.52-1.82x at 400 and 2000 sweeps of 1000 samples and
+# 1.11-1.44x at 4000, read 0.91-0.98 at 6000, and two threads gained 0.73-0.86
+# from 2**13 to 15 500 samples.
 SPLIT_SWEEP_SAMPLES = 1 << 13
 
 
@@ -105,8 +114,8 @@ class TraceConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:  # None: no video filter
                 raise ValueError(f"{name} must be {'> 0' if math.isfinite(value) else 'finite'}, got {value}")
-        if not 1 <= self.sweeps <= 2**128:  # a sweep's index is the top 128 bits of its Philox counter
-            raise ValueError(f"sweeps must be in [1, 2**128], got {self.sweeps}")
+        if self.sweeps < 1:
+            raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
         if not 0 <= self.seed < 2**128:  # the Philox key is 128 bits
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         # compared as floats first: the integer sample counts overflow on inf
@@ -124,16 +133,24 @@ class TraceConfig:
             raise ValueError(
                 f"vbw too narrow: rbw/vbw = {self.rbw / self.vbw:g} exceeds the {self.psd_bins} PSD bins"
             )
+        self.check_run(1)
         if self.electronic_floor_db is not None:
             self.check_level(self.electronic_floor_db, "electronic_floor_db")
+
+    def check_run(self, references: int) -> None:
+        """Refuse a run of `references` shaped references that synthesizes more than MAX_RUN_SAMPLES."""
+        most = MAX_RUN_SAMPLES // (self.synthesized_samples * references)
+        if self.sweeps > most:
+            raise ValueError(f"sweeps must be <= {most} at {references} reference(s) of {self.synthesized_samples} "
+                             f"synthesized samples a sweep ({MAX_RUN_SAMPLES:.0e} in all), got {self.sweeps}")
 
     def check_level(self, db: float, name: str) -> None:
         """Refuse the level `name` (the floor, a target's top, the tone) at `db` dB rel. shot unless its ratio times
         segment_length**2, synthesized_samples (squared gain) and segment_length * sweeps (sweep sum) is finite."""
         try:
             ratio = db_to_ratio(db)
-        except ValueError as exc:
-            raise ValueError(f"{name} {exc}") from None
+        except ValueError:
+            raise ValueError(f"{name} must give a finite power ratio, got {db} dB") from None
         n = self.segment_length
         if not math.isfinite(ratio * float(max(n * n, self.synthesized_samples, n * self.sweeps))):
             raise ValueError(f"{name} must keep the periodogram finite, got {db} dB")
@@ -393,88 +410,87 @@ def averaged_psd(
     one PSD per reference, each bit-identical to a one-reference call: a sweep
     makes one draw and takes one irFFT and one periodogram per reference.
 
-    A task is the fewest consecutive sweeps that hold `MIN_TASK_SAMPLES`
-    synthesized samples times references, or the sweeps that remain.  More
-    tasks than CPUs run on a pool of one thread per CPU, at most two tasks per
-    thread in flight.  At most one task per CPU, of sweeps that synthesize
-    `SPLIT_SWEEP_SAMPLES` or more samples, is cut into shares: even runs of
-    consecutive sweeps, one per `MIN_TASK_SAMPLES / 4` of the run's work and at
-    most one per CPU.  The calling thread runs the first share and a helper
-    thread each other one; a helper's error is raised here once every helper
-    has joined.  Any other run, and any run on one CPU, runs its tasks on the
-    calling thread.  Each task or share returns its sweeps' periodograms, and
-    they are summed in sweep order, so the result is bit-identical for any
-    grouping and any number of threads.
+    The sweeps are cut into tasks, even runs of consecutive sweeps, as many
+    as it takes runs of the fewest sweeps that hold `MIN_TASK_SAMPLES`
+    synthesized samples times references to cover them.  One loop runs the
+    tasks on the calling thread and on `threads - 1` helper threads: thread t
+    runs task t, then the next task nobody has taken, at most two tasks per
+    thread ahead of the fold.  Finished tasks' periodograms are folded in task
+    order, hence summed in sweep order, so the result is bit-identical for any
+    tasks and any number of threads.  `threads` is 1 when a sweep synthesizes
+    fewer than `SPLIT_SWEEP_SAMPLES` samples, else the CPU count when the
+    tasks outnumber the CPUs, else one per task, the run then cut into one
+    task per `MIN_TASK_SAMPLES / 4` of its work, at most one per CPU and per
+    sweep.  A thread's error is raised here once every helper has joined.  A
+    run that synthesizes more than `MAX_RUN_SAMPLES` samples times references
+    is refused.
     """
     single = not isinstance(target_spectrum, list)
     references = [(target_spectrum, label)] if single else target_spectrum
     if not references:
         raise ValueError("target_spectrum must list at least one (target, label) reference, got []")
+    cfg.check_run(len(references))
     invariants = _sweep_invariants(cfg, [target for target, _ in references], tone)
 
     per_sweep = cfg.synthesized_samples * len(invariants)
     per_task = -(-MIN_TASK_SAMPLES // per_sweep)  # the fewest sweeps that hold MIN_TASK_SAMPLES
     ntasks = -(-cfg.sweeps // per_task)
-    tasks = ((start, min(start + per_task, cfg.sweeps)) for start in range(0, cfg.sweeps, per_task))
-    local = threading.local()  # each running thread's workspace
-
-    def run(start: int, stop: int) -> list[list[np.ndarray]]:
-        ws = getattr(local, "workspace", None)
-        if ws is None:
-            ws = local.workspace = _Workspace(cfg, references=len(invariants))
-        ratios = []
-        for k in range(start, stop):
-            _draw_spectrum(cfg, k, ws.draw)
-            ratios.append([_welch_ratio(synthesize_trace(cfg, invariants=inv, workspace=ws).samples, cfg, ws)
-                           for inv in invariants])
-        return ratios
-
-    accs = [0.0] * len(invariants)
-
-    def fold(ratios: list[list[np.ndarray]]) -> None:
-        for sweep_ratios in ratios:
-            for i, ratio in enumerate(sweep_ratios):
-                accs[i] += ratio
-
     # the CPUs this process may run on
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    # a split run's shares: one per MIN_TASK_SAMPLES / 4 of its work, at most one per CPU and per sweep
-    shares = min(cpus, cfg.sweeps, cfg.sweeps * per_sweep // (MIN_TASK_SAMPLES // 4))
-    if ntasks > cpus > 1:
-        from concurrent.futures import ThreadPoolExecutor  # imported here: most runs start no pool
+    if cfg.synthesized_samples < SPLIT_SWEEP_SAMPLES:
+        threads = 1
+    elif ntasks > cpus:
+        threads = cpus
+    else:  # one task per MIN_TASK_SAMPLES / 4 of the run's work, at most one per CPU and per sweep
+        threads = ntasks = max(1, min(cpus, cfg.sweeps, cfg.sweeps * per_sweep // (MIN_TASK_SAMPLES // 4)))
+    accs = [0.0] * len(invariants)
+    done: dict[int, list[list[np.ndarray]]] = {}  # finished tasks' per-sweep periodograms, until folded
+    cond = threading.Condition()
+    # tasks handed out, thread t's first task t and at most two a thread ahead of the fold, and tasks folded
+    taken, folded, error = threads, 0, None
 
-        with ThreadPoolExecutor(cpus) as ex:  # two tasks per thread in flight; Executor.map would queue all
-            pending = deque(ex.submit(run, *t) for t in itertools.islice(tasks, 2 * cpus))
-            while pending:
-                fold(pending.popleft().result())
-                if (t := next(tasks, None)) is not None:
-                    pending.append(ex.submit(run, *t))
-    elif shares < 2 or cfg.synthesized_samples < SPLIT_SWEEP_SAMPLES:  # the caller runs the tasks
-        for t in tasks:
-            fold(run(*t))
-    else:  # even runs of sweeps: the caller runs share 0 and a helper thread each other share
-        bounds = [cfg.sweeps * i // shares for i in range(shares + 1)]
-        results: list = [None] * shares
+    def fail(exc: BaseException) -> None:
+        nonlocal error
+        with cond:
+            error = exc if error is None else error
+            cond.notify_all()
 
-        def share(i: int) -> None:
-            try:
-                results[i] = run(bounds[i], bounds[i + 1])
-            except BaseException as exc:  # re-raised by the caller
-                results[i] = exc
-
-        helpers = []
+    def work(i: int) -> None:
+        nonlocal accs, taken, folded
         try:
-            for i in range(1, shares):
-                helper = threading.Thread(target=share, args=(i,))
-                helper.start()
-                helpers.append(helper)
-            results[0] = run(bounds[0], bounds[1])
-        finally:
-            for helper in helpers:
-                helper.join()
-        for ratios in results:
-            if isinstance(ratios, BaseException):
-                raise ratios
-            fold(ratios)
+            ws = _Workspace(cfg, references=len(invariants))
+            while True:
+                ratios = []
+                for k in range(cfg.sweeps * i // ntasks, cfg.sweeps * (i + 1) // ntasks):
+                    _draw_spectrum(cfg, k, ws.draw)
+                    ratios.append([_welch_ratio(synthesize_trace(cfg, invariants=inv, workspace=ws).samples,
+                                                cfg, ws) for inv in invariants])
+                with cond:
+                    done[i] = ratios
+                    while folded in done:  # in task order, so the sums run in sweep order
+                        for sweep_ratios in done.pop(folded):
+                            accs = [acc + ratio for acc, ratio in zip(accs, sweep_ratios)]
+                        folded += 1
+                    cond.notify_all()
+                    cond.wait_for(lambda: error is not None or not folded + 2 * threads <= taken < ntasks)
+                    if error is not None or taken == ntasks:
+                        return
+                    i, taken = taken, taken + 1
+        except BaseException as exc:  # raised by the caller once every helper has joined
+            fail(exc)
+
+    helpers = []
+    try:
+        for t in range(1, threads):
+            helper = threading.Thread(target=work, args=(t,))
+            helper.start()
+            helpers.append(helper)
+        work(0)
+    except BaseException as exc:  # a helper that did not start: the started ones stop after their task
+        fail(exc)
+    for helper in helpers:
+        helper.join()
+    if error is not None:
+        raise error
     psds = [_ratio_to_trace(a / cfg.sweeps, cfg, lab) for a, (_, lab) in zip(accs, references)]
     return psds[0] if single else psds

@@ -148,7 +148,7 @@ class TestDbConversions:
     @pytest.mark.parametrize("db", [math.nan, math.inf, 4000.0])
     def test_db_without_a_finite_ratio_is_refused(self, db):
         # as ratio_to_db refuses NaN, its inverse does not pass NaN on
-        with pytest.raises(ValueError, match="^must give a finite power ratio"):
+        with pytest.raises(ValueError, match="^d must give a finite power ratio"):
             db_to_ratio(db)
 
     @given(v=st.floats(1e-12, 1e12))

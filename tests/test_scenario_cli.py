@@ -180,6 +180,11 @@ CONFIG_ERRORS = [
       "--set", "trace.duration=1e-4"], "trace.seed"),  # 2**128: beyond the Philox key
     (["cavity", "--set", "trace.duration=inf"], "trace.duration"),
     (["cavity", "--set", "trace.duration=10"], "trace.duration"),
+    # runs that would not finish: one sweep of 105 000 samples past MAX_RUN_SAMPLES, at one
+    # reference and at interfere's two, and 2**128 sweeps
+    (["trace", "--set", f"trace.sweeps={tracesim.MAX_RUN_SAMPLES // 105_000 + 1}"], "trace.sweeps"),
+    (["interfere", "--set", f"trace.sweeps={tracesim.MAX_RUN_SAMPLES // 210_000 + 1}"], "trace.sweeps"),
+    (["trace", "--set", f"trace.sweeps={2**128}"], "trace.sweeps"),
     (["capacity", "--set", "capacity.points=3.0"], "capacity.points"),
     (["cavity", "--set", "trace.vbw=abc"], "trace.vbw"),
     (["trace", "--set", "trace.vbw=1e-300"], "trace.vbw"),  # rbw/vbw beyond the PSD bins
